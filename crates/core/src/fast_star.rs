@@ -22,17 +22,17 @@
 //! Worst-case time is `O(Σ_u d_u · d_u^δ)` ≈ `O(2 d^δ |E|)` — linear in the
 //! number of temporal edges for fixed window density (§IV.A.4).
 //!
-//! The kernel is data-oriented: the window scan streams the graph's SoA
-//! timestamp lane, topology is one packed `u32` load per step, and all
-//! counter updates go to flat per-node accumulators (offsets hoisted from
-//! `(d1, d3)`) folded into the shared counters once per call — the inner
-//! loop performs no indexed multi-dimensional counter writes.
+//! The scan is the `<true, false>` instantiation of the one FAST
+//! kernel in [`crate::fused`]: the same window loop as the full count,
+//! with the triangle work compiled out.
 //!
 //! hare-lint: no-alloc
 
 use crate::counters::{PairCounter, StarCounter};
+use crate::fused::{count_node_into, scan_all};
 use crate::scratch::NeighborScratch;
-use temporal_graph::{NodeId, TemporalGraph, Timestamp, TsLane, TsRead};
+use hare_obs::NoopProbe;
+use temporal_graph::{NodeId, TemporalGraph, Timestamp};
 
 /// Count star/pair motifs centered at `u`, restricted to first-edge
 /// positions `first_edge_range` within `S_u` (the full range reproduces
@@ -53,7 +53,7 @@ pub fn count_node_star_pair_range(
     // the shared counters are touched once per call.
     let mut star_acc = [0u64; 24];
     let mut pair_acc = [0u64; 8];
-    count_node_star_pair_into(
+    count_node_into::<true, false>(
         g,
         u,
         first_edge_range,
@@ -61,101 +61,10 @@ pub fn count_node_star_pair_range(
         scratch,
         &mut star_acc,
         &mut pair_acc,
+        &mut [0; 24],
     );
     star.add_flat(&star_acc);
     pair.add_flat(&pair_acc);
-}
-
-/// The scan proper, accumulating into caller-owned flat arrays so the
-/// whole-graph driver folds into the counters once per run.
-fn count_node_star_pair_into(
-    g: &TemporalGraph,
-    u: NodeId,
-    first_edge_range: std::ops::Range<usize>,
-    delta: Timestamp,
-    scratch: &mut NeighborScratch,
-    star_acc: &mut [u64; 24],
-    pair_acc: &mut [u64; 8],
-) {
-    let s = g.node_events(u);
-    match s.ts_lane() {
-        TsLane::Raw(ts) => star_scan(ts, &s, first_edge_range, delta, scratch, star_acc, pair_acc),
-        TsLane::Packed(p) => star_scan(p, &s, first_edge_range, delta, scratch, star_acc, pair_acc),
-    }
-}
-
-/// The scan body, generic over the timestamp lane representation so the
-/// raw path monomorphises to slice indexing. The δ-window end `j_end` is
-/// maintained by a monotone two-pointer advance (`t_1 + δ` never
-/// decreases with `i`), so the inner loop runs with a hoisted bound.
-fn star_scan<T: TsRead>(
-    ts: T,
-    s: &temporal_graph::NodeEvents<'_>,
-    first_edge_range: std::ops::Range<usize>,
-    delta: Timestamp,
-    scratch: &mut NeighborScratch,
-    star_acc: &mut [u64; 24],
-    pair_acc: &mut [u64; 8],
-) {
-    let packed = s.packed_lane();
-    let n_events = ts.len();
-    debug_assert!(first_edge_range.end <= n_events);
-
-    let mut j_end = first_edge_range.start;
-    for i in first_edge_range {
-        let t1 = ts.at(i);
-        let t_hi = t1.saturating_add(delta);
-        if j_end <= i {
-            j_end = i + 1;
-        }
-        while j_end < n_events && ts.at(j_end) <= t_hi {
-            j_end += 1;
-        }
-        // Empty δ-window: nothing can complete — skip all setup.
-        if i + 1 >= j_end {
-            continue;
-        }
-        let p1 = packed[i];
-        let v = p1 >> 1;
-        let d1 = (p1 & 1) as usize;
-        // All star cells this first edge can hit share the hoisted
-        // (d1, ·, d3) offset base computed per third edge below.
-        let b1 = d1 << 2;
-        scratch.reset();
-        // Running totals of second-edge candidates per direction
-        // (the paper's #e_in / #e_out).
-        let mut n = [0u64; 2];
-        // v's in-window counts, tracked in registers: v is fixed for the
-        // whole window, so events to v never touch the scratch array.
-        let mut cv = [0u64; 2];
-
-        for &p3 in &packed[i + 1..j_end] {
-            let w = p3 >> 1;
-            let d3 = (p3 & 1) as usize;
-            let base = b1 | d3; // d1·4 + d3; d2 contributes ·2
-            if w == v {
-                // Pair motifs: second edge between u and v = w;
-                // Star-II: second edge to any other neighbour.
-                pair_acc[base] += cv[0];
-                pair_acc[base | 2] += cv[1];
-                star_acc[8 + base] += n[0] - cv[0];
-                star_acc[8 + (base | 2)] += n[1] - cv[1];
-                cv[d3] += 1;
-            } else {
-                // Star-I: second edge bonded to w = e3.v;
-                // Star-III: second edge bonded to v = e1.v.
-                let cw = scratch.get(w);
-                star_acc[base] += cw[0];
-                star_acc[base | 2] += cw[1];
-                star_acc[16 + base] += cv[0];
-                star_acc[16 + (base | 2)] += cv[1];
-                // e3 becomes a second-edge candidate for later third
-                // edges (events to v are covered by the register pair).
-                scratch.bump(w, d3);
-            }
-            n[d3] += 1;
-        }
-    }
 }
 
 /// Count star/pair motifs centered at `u` over the whole of `S_u`.
@@ -175,21 +84,7 @@ pub fn count_node_star_pair(
 /// counters (fold them with the `counters` module to obtain grid counts).
 #[must_use]
 pub fn fast_star(g: &TemporalGraph, delta: Timestamp) -> (StarCounter, PairCounter) {
-    let mut star_acc = [0u64; 24];
-    let mut pair_acc = [0u64; 8];
-    crate::scratch::with_thread_scratch(g.num_nodes(), |scratch| {
-        for u in g.node_ids() {
-            let len = g.node_events(u).len();
-            if len < 2 {
-                continue; // no (e1, e3) window can open
-            }
-            count_node_star_pair_into(g, u, 0..len, delta, scratch, &mut star_acc, &mut pair_acc);
-        }
-    });
-    let mut star = StarCounter::default();
-    let mut pair = PairCounter::default();
-    star.add_flat(&star_acc);
-    pair.add_flat(&pair_acc);
+    let (star, pair, _) = scan_all::<true, false, _>(g, delta, &NoopProbe);
     (star, pair)
 }
 

@@ -24,20 +24,21 @@
 //! dependency-free; we use it unconditionally so single- and multi-thread
 //! runs share one code path and produce bit-identical counters.
 //!
+//! The scan is the `<false, true>` instantiation of the one FAST kernel
+//! in [`crate::fused`]: the same window loop as the full count, with the
+//! star/pair work and the neighbour scratch compiled out.
+//!
 //! hare-lint: no-alloc
 
 use crate::counters::TriCounter;
-use temporal_graph::{NodeId, TemporalGraph, Timestamp, TsLane, TsRead};
+use crate::fused::{count_node_into, scan_all};
+use crate::scratch::NeighborScratch;
+use hare_obs::NoopProbe;
+use temporal_graph::{NodeId, TemporalGraph, Timestamp};
 
 /// Count triangle motifs centered at `u`, restricted to first-edge
 /// positions `first_edge_range` within `S_u` (full range = Algorithm 2;
 /// sub-ranges are HARE's intra-node parallel unit).
-///
-/// Data-oriented like [`crate::fast_star`]: the `(e_i, e_j)` window scan
-/// streams the SoA timestamp lane, the type classification is branch-free
-/// (two total-order comparisons summed), and every increment goes to a
-/// flat `[u64; 24]` accumulator folded into the shared counter once per
-/// call.
 pub fn count_node_tri_range(
     g: &TemporalGraph,
     u: NodeId,
@@ -46,104 +47,19 @@ pub fn count_node_tri_range(
     tri: &mut TriCounter,
 ) {
     let mut tri_acc = [0u64; 24];
-    count_node_tri_into(g, u, first_edge_range, delta, &mut tri_acc);
+    // The triangle-only scan never reads the scratch; an empty one costs
+    // no allocation.
+    count_node_into::<false, true>(
+        g,
+        u,
+        first_edge_range,
+        delta,
+        &mut NeighborScratch::new(0),
+        &mut [0; 24],
+        &mut [0; 8],
+        &mut tri_acc,
+    );
     tri.add_flat(&tri_acc);
-}
-
-/// The scan proper, accumulating into a caller-owned flat array so the
-/// whole-graph driver folds into the counter once per run.
-fn count_node_tri_into(
-    g: &TemporalGraph,
-    u: NodeId,
-    first_edge_range: std::ops::Range<usize>,
-    delta: Timestamp,
-    tri_acc: &mut [u64; 24],
-) {
-    let s = g.node_events(u);
-    match s.ts_lane() {
-        TsLane::Raw(ts) => tri_scan(g, &s, ts, first_edge_range, delta, tri_acc),
-        TsLane::Packed(p) => tri_scan(g, &s, p, first_edge_range, delta, tri_acc),
-    }
-}
-
-/// The scan body, generic over the timestamp lane representation. The
-/// δ-window end `j_end` is maintained by a monotone two-pointer advance
-/// (`t_i + δ` never decreases with `i`), so the inner loop runs with a
-/// hoisted bound.
-fn tri_scan<T: TsRead>(
-    g: &TemporalGraph,
-    s: &temporal_graph::NodeEvents<'_>,
-    ts: T,
-    first_edge_range: std::ops::Range<usize>,
-    delta: Timestamp,
-    tri_acc: &mut [u64; 24],
-) {
-    let packed = s.packed_lane();
-    let eids = s.edge_lane();
-    let pairs = g.pairs();
-    let n_events = ts.len();
-    debug_assert!(first_edge_range.end <= n_events);
-
-    let mut j_end = first_edge_range.start;
-    for i in first_edge_range {
-        let t_i = ts.at(i);
-        // Window upper bound: Triangle-III needs t_k − t_i ≤ δ.
-        let t_hi = t_i.saturating_add(delta);
-        if j_end <= i {
-            j_end = i + 1;
-        }
-        while j_end < n_events && ts.at(j_end) <= t_hi {
-            j_end += 1;
-        }
-        // Empty δ-window: nothing can complete — skip all setup.
-        if i + 1 >= j_end {
-            continue;
-        }
-        let p_i = packed[i];
-        let v = p_i >> 1;
-        let bi = ((p_i & 1) as usize) << 2; // di·4, hoisted
-                                            // Edge ids are chronological ranks under the global (t, input
-                                            // position) total order, so bare id compares classify types.
-        let ei_id = eids[i];
-        // v's neighbour signature: one register test rejects the frequent
-        // wedges with no closing edge before any hash probe.
-        let bloom_v = pairs.bloom_of(v);
-        // One-entry pair-list memo: bursty sequences hit the same far
-        // endpoint in runs, making consecutive probes of E(v, w) free.
-        let mut memo_w = u32::MAX;
-        let mut memo_evs: &[temporal_graph::PairEvent] = &[];
-        for j in i + 1..j_end {
-            let p_j = packed[j];
-            let w = p_j >> 1;
-            if w == v || !temporal_graph::PairIndex::bloom_may_connect(bloom_v, w) {
-                continue;
-            }
-            if w != memo_w {
-                memo_w = w;
-                memo_evs = pairs.events_between(v, w);
-            }
-            let evs = memo_evs;
-            if evs.is_empty() {
-                continue;
-            }
-            let dk_flip = usize::from(v >= w); // dirs stored relative to lo
-            let base = bi | (((p_j & 1) as usize) << 1); // di·4 + dj·2
-            let ej_id = eids[j];
-            // Window lower bound: Triangle-I needs t_j − t_k ≤ δ.
-            let t_lo = ts.at(j).saturating_sub(delta);
-            let start = evs.partition_point(|p| p.t < t_lo);
-            for p in &evs[start..] {
-                if p.t > t_hi {
-                    break;
-                }
-                let dk = p.dir_from_lo.index() ^ dk_flip;
-                // Type by position in the chronological total order:
-                // before e_i → I (0), between → II (1), after e_j → III.
-                let ty = usize::from(p.edge >= ei_id) + usize::from(p.edge >= ej_id);
-                tri_acc[(ty << 3) | base | dk] += 1;
-            }
-        }
-    }
 }
 
 /// Count triangle motifs centered at `u` over the whole of `S_u`.
@@ -157,17 +73,7 @@ pub fn count_node_tri(g: &TemporalGraph, u: NodeId, delta: Timestamp, tri: &mut 
 /// [`TriCounter::add_to_matrix`] to obtain per-class counts.
 #[must_use]
 pub fn fast_tri(g: &TemporalGraph, delta: Timestamp) -> TriCounter {
-    let mut tri_acc = [0u64; 24];
-    for u in g.node_ids() {
-        let len = g.node_events(u).len();
-        if len < 2 {
-            continue; // no (e_i, e_j) window can open
-        }
-        count_node_tri_into(g, u, 0..len, delta, &mut tri_acc);
-    }
-    let mut tri = TriCounter::default();
-    tri.add_flat(&tri_acc);
-    tri
+    scan_all::<false, true, _>(g, delta, &NoopProbe).2
 }
 
 #[cfg(test)]

@@ -20,14 +20,15 @@
 //! an invariant the tests pin down. These are exactly the per-center
 //! views the fused kernel accumulates, which is why attribution is a
 //! fold of its flat accumulators rather than a second algorithm: the
-//! star cells of `count_node_all_into(g, u, ..)` are the stars centered
-//! at `u`, the pair cells are `u`'s endpoint view, and the triangle
-//! cells are `u`'s per-center instance view.
+//! star cells of the kernel's scan of `S_u` are the stars centered at
+//! `u`, the pair cells are `u`'s endpoint view, and the triangle cells
+//! are `u`'s per-center instance view.
 //!
-//! The pre-fusion per-kernel path (separate [`crate::fast_star`] and
-//! [`crate::fast_tri`] drives per node) is kept as
-//! [`profile_of_separate`] — the differential reference the
-//! `local_profiles` suite pins the fused path against, bit for bit.
+//! [`profile_of_separate`] sums the star-only ([`crate::fast_star`]) and
+//! triangle-only ([`crate::fast_tri`]) instantiations of the same scan
+//! per node. The `local_profiles` suite pins the fused path to it bit
+//! for bit, which checks that the kernel's star and triangle flags are
+//! decoupled; brute-force enumeration stays the exactness oracle.
 //!
 //! On top of the raw profiles sit the serving-facing analytics: a
 //! sparse whole-graph collection ([`NodeProfiles`]), top-k nodes per
@@ -160,7 +161,7 @@ pub fn profile_of(
     let mut tri_acc = [0u64; 24];
     let len = g.node_events(u).len();
     if len >= 2 {
-        crate::fused::count_node_all_into(
+        crate::fused::count_node_into::<true, true>(
             g,
             u,
             0..len,
@@ -180,10 +181,10 @@ pub fn profile_of(
     fold_counters(&star, &pair, &tri)
 }
 
-/// Compute one node's profile with the pre-fusion per-kernel drives
-/// (separate star/pair and triangle scans). Kept as the differential
-/// reference for the fused path; `tests/local_profiles.rs` pins
-/// `profile_of == profile_of_separate` bit for bit on arbitrary graphs.
+/// Compute one node's profile as the star-only and triangle-only scans
+/// summed. Kept as the flag-decoupling differential for the fused path;
+/// `tests/local_profiles.rs` pins `profile_of == profile_of_separate`
+/// bit for bit on arbitrary graphs.
 #[must_use]
 pub fn profile_of_separate(
     g: &TemporalGraph,

@@ -1,13 +1,21 @@
-//! The fused FAST kernel: star, pair **and** triangle counting in one
-//! window scan per center node.
+//! The FAST kernel: one δ-window scan per center node, const-generic over
+//! which motif families it counts.
 //!
 //! Algorithms 1 and 2 enumerate exactly the same `(e_i, e_j)` pairs of
 //! `S_u` — a first edge and a later edge within δ — and differ only in
 //! what they do per pair: Algorithm 1 answers second-edge queries from
 //! the [`NeighborScratch`] counters, Algorithm 2 probes the pair edge
-//! list `E(v, w)`. Running them as two passes scans every node sequence
-//! (and re-derives every δ-window bound) twice. This kernel performs both
-//! in a single scan:
+//! list `E(v, w)`. This module holds the one loop that enumerates those
+//! pairs; its `STAR` and `TRI` parameters select the per-pair work at
+//! compile time:
+//!
+//! * `<true, true>` counts all 36 motifs in one scan. Every whole-graph
+//!   driver runs it: [`crate::count_motifs`], [`crate::Hare::count_all`],
+//!   out-of-core, sampling and per-node profiles;
+//! * `<true, false>` counts star and pair motifs ([`crate::fast_star`]);
+//! * `<false, true>` counts triangle motifs ([`crate::fast_tri`]).
+//!
+//! The scan is data-oriented:
 //!
 //! * one traversal of the SoA timestamp lane per first edge, sharing the
 //!   `t ≤ t_1 + δ` window bound and the scratch population between the
@@ -19,9 +27,11 @@
 //! * branch-free triangle type classification (two total-order
 //!   comparisons summed).
 //!
-//! Counter addition is commutative, so the fused kernel is bit-identical
-//! to running [`crate::fast_star`] and [`crate::fast_tri`] separately —
-//! asserted by the tests below and by the differential suites.
+//! Counter addition is commutative, so the star-only and triangle-only
+//! instantiations summed must equal the full one; the tests below pin
+//! that, which checks that the two flags are decoupled. Exactness itself
+//! is checked against brute-force enumeration by the differential
+//! suites.
 //!
 //! hare-lint: no-alloc
 
@@ -36,7 +46,7 @@ use temporal_graph::{NodeId, TemporalGraph, Timestamp, TsLane, TsRead};
 /// intra-node parallel unit).
 ///
 /// `scratch` must cover the graph's node count; it is reset internally.
-#[allow(clippy::too_many_arguments)] // mirrors the two kernels it fuses
+#[allow(clippy::too_many_arguments)] // one counter per motif family
 pub fn count_node_all_range(
     g: &TemporalGraph,
     u: NodeId,
@@ -50,7 +60,7 @@ pub fn count_node_all_range(
     let mut star_acc = [0u64; 24];
     let mut pair_acc = [0u64; 8];
     let mut tri_acc = [0u64; 24];
-    count_node_all_into(
+    count_node_into::<true, true>(
         g,
         u,
         first_edge_range,
@@ -65,11 +75,13 @@ pub fn count_node_all_range(
     tri.add_flat(&tri_acc);
 }
 
-/// The fused scan proper, accumulating into caller-owned flat arrays so
-/// whole-graph drivers (and the sampling engine's per-window tasks) can
-/// fold into the shared counters once per run instead of once per node.
+/// The scan for one center node, accumulating into caller-owned flat
+/// arrays so whole-graph drivers (and the sampling engine's per-window
+/// tasks) can fold into the shared counters once per run instead of
+/// once per node. Arrays of a family the instantiation does not count
+/// are left untouched, and with `STAR = false` so is `scratch`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn count_node_all_into(
+pub(crate) fn count_node_into<const STAR: bool, const TRI: bool>(
     g: &TemporalGraph,
     u: NodeId,
     first_edge_range: std::ops::Range<usize>,
@@ -84,7 +96,7 @@ pub(crate) fn count_node_all_into(
     // inlines the O(1) bit-unpack.
     let s = g.node_events(u);
     match s.ts_lane() {
-        TsLane::Raw(ts) => fused_scan(
+        TsLane::Raw(ts) => fused_scan::<_, STAR, TRI>(
             g,
             &s,
             ts,
@@ -95,7 +107,7 @@ pub(crate) fn count_node_all_into(
             pair_acc,
             tri_acc,
         ),
-        TsLane::Packed(p) => fused_scan(
+        TsLane::Packed(p) => fused_scan::<_, STAR, TRI>(
             g,
             &s,
             p,
@@ -109,7 +121,8 @@ pub(crate) fn count_node_all_into(
     }
 }
 
-/// The fused scan proper, generic over the timestamp lane representation.
+/// The scan proper, generic over the timestamp lane representation and
+/// over the motif families it counts.
 ///
 /// The window upper bound `t_hi = t_1 + δ` is non-decreasing in `i`, so
 /// its end position `j_end` is maintained by a monotone two-pointer
@@ -117,8 +130,13 @@ pub(crate) fn count_node_all_into(
 /// run over `i+1..j_end` with a hoisted trip count, which keeps them
 /// branch-minimal and auto-vectorisation-friendly, and makes the window
 /// bound derivation O(2|E|) amortised per node instead of O(Σ window²).
+///
+/// `STAR` guards the scratch and the star/pair updates, `TRI` the bloom
+/// test, the pair-list probe and the triangle updates; both are
+/// constants, so each instantiation compiles to a loop holding only its
+/// own work.
 #[allow(clippy::too_many_arguments)]
-fn fused_scan<T: TsRead>(
+fn fused_scan<T: TsRead, const STAR: bool, const TRI: bool>(
     g: &TemporalGraph,
     s: &temporal_graph::NodeEvents<'_>,
     ts: T,
@@ -154,14 +172,19 @@ fn fused_scan<T: TsRead>(
         let v = p1 >> 1;
         let d1 = (p1 & 1) as usize;
         let b1 = d1 << 2; // d1·4, hoisted over the window
-                          // Edge ids are chronological ranks under the global (t, input
-                          // position) total order, so bare id compares replace (t, edge)
-                          // tuple compares everywhere below.
-        let e1_id = eids[i];
+
+        // Edge ids are chronological ranks under the global (t, input
+        // position) total order, so bare id compares replace (t, edge)
+        // tuple compares everywhere below.
+        let e1_id = if TRI { eids[i] } else { 0 };
         // v's neighbour signature: one register test rejects the frequent
         // wedges with no closing edge before any hash probe.
-        let bloom_v = pairs.bloom_of(v);
-        scratch.reset();
+        let bloom_v = if TRI { pairs.bloom_of(v) } else { 0 };
+        if STAR {
+            scratch.reset();
+        }
+        // Running totals of second-edge candidates per direction (the
+        // paper's #e_in / #e_out).
         let mut n = [0u64; 2];
         // v's in-window counts, tracked in registers: v is fixed for the
         // whole window, so events to v never touch the scratch array at
@@ -181,30 +204,34 @@ fn fused_scan<T: TsRead>(
             if w == v {
                 // Pair motifs + Star-II (second edge elsewhere). No
                 // triangle can span (u, v, v).
-                pair_acc[base] += cv[0];
-                pair_acc[base | 2] += cv[1];
-                star_acc[8 + base] += n[0] - cv[0];
-                star_acc[8 + (base | 2)] += n[1] - cv[1];
-                cv[d3] += 1;
+                if STAR {
+                    pair_acc[base] += cv[0];
+                    pair_acc[base | 2] += cv[1];
+                    star_acc[8 + base] += n[0] - cv[0];
+                    star_acc[8 + (base | 2)] += n[1] - cv[1];
+                    cv[d3] += 1;
+                }
             } else {
                 // Star-I (second edge at w) + Star-III (second edge at v).
-                let cw = scratch.get(w);
-                star_acc[base] += cw[0];
-                star_acc[base | 2] += cw[1];
-                star_acc[16 + base] += cv[0];
-                star_acc[16 + (base | 2)] += cv[1];
+                if STAR {
+                    let cw = scratch.get(w);
+                    star_acc[base] += cw[0];
+                    star_acc[base | 2] += cw[1];
+                    star_acc[16 + base] += cv[0];
+                    star_acc[16 + (base | 2)] += cv[1];
+                }
 
                 // Triangles: opposite edges from E(v, w) inside the
                 // [t_j − δ, t_i + δ] window (Algorithm 2's trick). The
                 // bloom test is an exact negative for unconnected pairs.
-                if temporal_graph::PairIndex::bloom_may_connect(bloom_v, w) {
+                if TRI && temporal_graph::PairIndex::bloom_may_connect(bloom_v, w) {
                     if w != memo_w {
                         memo_w = w;
                         memo_evs = pairs.events_between(v, w);
                     }
                     let evs = memo_evs;
                     if !evs.is_empty() {
-                        let dk_flip = usize::from(v >= w);
+                        let dk_flip = usize::from(v >= w); // dirs stored relative to lo
                         let tbase = b1 | (d3 << 1); // di·4 + dj·2
                         let ej_id = eids[j];
                         let t_lo = ts.at(j).saturating_sub(delta);
@@ -214,16 +241,25 @@ fn fused_scan<T: TsRead>(
                                 break;
                             }
                             let dk = p.dir_from_lo.index() ^ dk_flip;
+                            // Type by position in the chronological total
+                            // order: before e_i → I (0), between → II (1),
+                            // after e_j → III (2).
                             let ty = usize::from(p.edge >= e1_id) + usize::from(p.edge >= ej_id);
                             tri_acc[(ty << 3) | tbase | dk] += 1;
                         }
                     }
                 }
 
-                scratch.bump(w, d3);
+                // e3 becomes a second-edge candidate for later third
+                // edges (events to v are covered by the register pair).
+                if STAR {
+                    scratch.bump(w, d3);
+                }
             }
 
-            n[d3] += 1;
+            if STAR {
+                n[d3] += 1;
+            }
         }
     }
 }
@@ -263,17 +299,28 @@ pub fn fused_all_probed<P: Probe>(
     delta: Timestamp,
     probe: &P,
 ) -> (StarCounter, PairCounter, TriCounter) {
+    scan_all::<true, true, P>(g, delta, probe)
+}
+
+/// Sequential whole-graph driver for one instantiation of the scan. The
+/// counters of a family the instantiation does not count come back
+/// zero.
+pub(crate) fn scan_all<const STAR: bool, const TRI: bool, P: Probe>(
+    g: &TemporalGraph,
+    delta: Timestamp,
+    probe: &P,
+) -> (StarCounter, PairCounter, TriCounter) {
     let mut star_acc = [0u64; 24];
     let mut pair_acc = [0u64; 8];
     let mut tri_acc = [0u64; 24];
     probe.span(Phase::Scan, || {
-        crate::scratch::with_thread_scratch(g.num_nodes(), |scratch| {
+        let mut scan_nodes = |scratch: &mut NeighborScratch| {
             for u in g.node_ids() {
                 let len = g.node_events(u).len();
                 if len < 2 {
                     continue; // no (e1, e3) window can open
                 }
-                count_node_all_into(
+                count_node_into::<STAR, TRI>(
                     g,
                     u,
                     0..len,
@@ -284,17 +331,31 @@ pub fn fused_all_probed<P: Probe>(
                     &mut tri_acc,
                 );
             }
-        });
+        };
+        if STAR {
+            crate::scratch::with_thread_scratch(g.num_nodes(), scan_nodes);
+        } else {
+            // The triangle-only scan never reads the scratch; an empty
+            // one costs no allocation.
+            scan_nodes(&mut NeighborScratch::new(0));
+        }
     });
-    probe.span(Phase::Fold, || {
-        let mut star = StarCounter::default();
-        let mut pair = PairCounter::default();
-        let mut tri = TriCounter::default();
-        star.add_flat(&star_acc);
-        pair.add_flat(&pair_acc);
-        tri.add_flat(&tri_acc);
-        (star, pair, tri)
-    })
+    probe.span(Phase::Fold, || fold_flat(&star_acc, &pair_acc, &tri_acc))
+}
+
+/// Fold flat accumulators into fresh counters.
+pub(crate) fn fold_flat(
+    star_acc: &[u64; 24],
+    pair_acc: &[u64; 8],
+    tri_acc: &[u64; 24],
+) -> (StarCounter, PairCounter, TriCounter) {
+    let mut star = StarCounter::default();
+    let mut pair = PairCounter::default();
+    let mut tri = TriCounter::default();
+    star.add_flat(star_acc);
+    pair.add_flat(pair_acc);
+    tri.add_flat(tri_acc);
+    (star, pair, tri)
 }
 
 #[cfg(test)]

@@ -29,9 +29,10 @@
 //!   most expensive work is scheduled first and cannot straggle at the
 //!   end of the run (counter addition commutes, so ordering cannot change
 //!   results);
-//! * full 36-motif tasks run the **fused** star+pair+triangle kernel
-//!   ([`crate::fused::count_node_all_range`]) — one window scan per node
-//!   instead of two;
+//! * every task runs the one FAST window scan ([`crate::fused`]):
+//!   full 36-motif counts instantiate it for star, pair **and**
+//!   triangle work in one scan per node, and the category-restricted
+//!   counts instantiate it for star/pair or triangle work only;
 //! * requested thread counts are **clamped to the machine's available
 //!   parallelism** (oversubscribing cores only adds scheduling overhead),
 //!   and graphs below [`SEQ_FALLBACK_EVENTS`] total events skip the
@@ -44,9 +45,7 @@ use rayon::prelude::*;
 
 use crate::counters::{MotifCounts, PairCounter, StarCounter, TriCounter};
 use crate::fast_pair::count_pair_events;
-use crate::fast_star::count_node_star_pair_range;
-use crate::fast_tri::count_node_tri_range;
-use crate::fused::count_node_all_range;
+use crate::fused::{count_node_into, fold_flat};
 use crate::scratch::with_thread_scratch as with_scratch;
 use hare_obs::{NoopProbe, Phase, Probe};
 use temporal_graph::{stats, NodeId, TemporalGraph, Timestamp};
@@ -220,7 +219,7 @@ impl Hare {
         delta: Timestamp,
         probe: &P,
     ) -> MotifCounts {
-        let (star, pair, tri) = probe.span(Phase::Scan, || self.run(g, delta, Work::All));
+        let (star, pair, tri) = probe.span(Phase::Scan, || self.run::<true, true>(g, delta));
         probe.span(Phase::Fold, || {
             MotifCounts::from_center_counters(star, pair, tri)
         })
@@ -252,8 +251,9 @@ impl Hare {
     /// entry point behind every `--only` / `?only=` query shape, so the
     /// CLI and the HTTP service cannot drift apart: `Some(Pair)` runs
     /// FAST-Pair over pair slots, `Some(Star)` / `Some(Triangle)` run
-    /// the corresponding kernel per center node, `None` runs the fused
-    /// scan. Results are bit-identical across thread counts.
+    /// the star/pair-only or triangle-only instantiation of the FAST
+    /// scan per center node, `None` the full one. Results are
+    /// bit-identical across thread counts.
     #[must_use]
     pub fn count_matrix(
         &self,
@@ -313,7 +313,7 @@ impl Hare {
         g: &TemporalGraph,
         delta: Timestamp,
     ) -> (StarCounter, PairCounter) {
-        let (star, pair, _) = self.run(g, delta, Work::StarPair);
+        let (star, pair, _) = self.run::<true, false>(g, delta);
         (star, pair)
     }
 
@@ -322,7 +322,7 @@ impl Hare {
     /// [`TriCounter::add_to_matrix`].
     #[must_use]
     pub fn count_tri(&self, g: &TemporalGraph, delta: Timestamp) -> TriCounter {
-        let (_, _, tri) = self.run(g, delta, Work::Tri);
+        let (_, _, tri) = self.run::<false, true>(g, delta);
         tri
     }
 
@@ -361,11 +361,13 @@ impl Hare {
         })
     }
 
-    fn run(
+    /// The hierarchical schedule around one instantiation of the FAST
+    /// scan: `STAR` / `TRI` pick the motif families, exactly as in
+    /// [`crate::fused`]. Counters of a family not counted come back zero.
+    fn run<const STAR: bool, const TRI: bool>(
         &self,
         g: &TemporalGraph,
         delta: Timestamp,
-        work: Work,
     ) -> (StarCounter, PairCounter, TriCounter) {
         let thrd = self.resolve_threshold(g);
         let mut light: Vec<NodeId> = Vec::new();
@@ -388,11 +390,11 @@ impl Hare {
         // more than the count. Same kernels, same per-node full ranges —
         // counter addition commutes, so the fold is bit-identical.
         if self.run_sequential(g) {
-            let mut acc = Partial::new(work);
+            let mut acc = Partial::<STAR, TRI>::default();
             for &u in light.iter().chain(heavy.iter()) {
                 acc.count_node(g, u, 0..g.node_events(u).len(), delta);
             }
-            return (acc.star, acc.pair, acc.tri);
+            return acc.fold();
         }
 
         let pool = self.pool();
@@ -402,13 +404,13 @@ impl Hare {
             let mut acc = light
                 .par_chunks(chunk)
                 .map(|nodes| {
-                    let mut partial = Partial::new(work);
+                    let mut partial = Partial::<STAR, TRI>::default();
                     for &u in nodes {
                         partial.count_node(g, u, 0..g.node_events(u).len(), delta);
                     }
                     partial
                 })
-                .reduce(|| Partial::new(work), Partial::merge);
+                .reduce(Partial::default, Partial::merge);
 
             // Phase 2: intra-node parallelism, one heavy node at a time.
             for &u in &heavy {
@@ -417,46 +419,29 @@ impl Hare {
                 let heavy_acc = ranges
                     .into_par_iter()
                     .map(|range| {
-                        let mut partial = Partial::new(work);
+                        let mut partial = Partial::<STAR, TRI>::default();
                         partial.count_node(g, u, range, delta);
                         partial
                     })
-                    .reduce(|| Partial::new(work), Partial::merge);
+                    .reduce(Partial::default, Partial::merge);
                 acc = Partial::merge(acc, heavy_acc);
             }
 
-            (acc.star, acc.pair, acc.tri)
+            acc.fold()
         })
     }
 }
 
-/// Which counters a run must populate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Work {
-    All,
-    StarPair,
-    Tri,
+/// Per-task accumulator: the scan's flat arrays, inline (no heap
+/// allocation; scratch lives in thread-local storage).
+#[derive(Default)]
+struct Partial<const STAR: bool, const TRI: bool> {
+    star: [u64; 24],
+    pair: [u64; 8],
+    tri: [u64; 24],
 }
 
-/// Per-task accumulator: private inline counters (no heap allocation;
-/// scratch lives in thread-local storage).
-struct Partial {
-    star: StarCounter,
-    pair: PairCounter,
-    tri: TriCounter,
-    work: Work,
-}
-
-impl Partial {
-    fn new(work: Work) -> Partial {
-        Partial {
-            star: StarCounter::default(),
-            pair: PairCounter::default(),
-            tri: TriCounter::default(),
-            work,
-        }
-    }
-
+impl<const STAR: bool, const TRI: bool> Partial<STAR, TRI> {
     fn count_node(
         &mut self,
         g: &TemporalGraph,
@@ -464,39 +449,38 @@ impl Partial {
         range: std::ops::Range<usize>,
         delta: Timestamp,
     ) {
-        match self.work {
-            Work::All => with_scratch(g.num_nodes(), |scratch| {
-                count_node_all_range(
-                    g,
-                    u,
-                    range,
-                    delta,
-                    scratch,
-                    &mut self.star,
-                    &mut self.pair,
-                    &mut self.tri,
-                );
-            }),
-            Work::StarPair => with_scratch(g.num_nodes(), |scratch| {
-                count_node_star_pair_range(
-                    g,
-                    u,
-                    range,
-                    delta,
-                    scratch,
-                    &mut self.star,
-                    &mut self.pair,
-                );
-            }),
-            Work::Tri => count_node_tri_range(g, u, range, delta, &mut self.tri),
-        }
+        // The triangle-only scan never reads the scratch, so it borrows
+        // this thread's without growing it.
+        let scratch_nodes = if STAR { g.num_nodes() } else { 0 };
+        with_scratch(scratch_nodes, |scratch| {
+            count_node_into::<STAR, TRI>(
+                g,
+                u,
+                range,
+                delta,
+                scratch,
+                &mut self.star,
+                &mut self.pair,
+                &mut self.tri,
+            );
+        });
     }
 
-    fn merge(mut a: Partial, b: Partial) -> Partial {
-        a.star.merge(&b.star);
-        a.pair.merge(&b.pair);
-        a.tri.merge(&b.tri);
+    fn merge(mut a: Self, b: Self) -> Self {
+        for (x, y) in a.star.iter_mut().zip(b.star) {
+            *x += y;
+        }
+        for (x, y) in a.pair.iter_mut().zip(b.pair) {
+            *x += y;
+        }
+        for (x, y) in a.tri.iter_mut().zip(b.tri) {
+            *x += y;
+        }
         a
+    }
+
+    fn fold(&self) -> (StarCounter, PairCounter, TriCounter) {
+        fold_flat(&self.star, &self.pair, &self.tri)
     }
 }
 

@@ -10,12 +10,17 @@
 //!
 //! ## Components
 //!
-//! * [`fast_star`](crate::fast_star::fast_star) — Algorithm 1: a single
-//!   center-node scan counting every star **and** pair motif, O(1) per
-//!   (first, third)-edge combination via per-neighbour counters.
-//! * [`fast_tri`](crate::fast_tri::fast_tri) — Algorithm 2: triangle
-//!   counting driven by the per-pair edge index, δ-windowed by binary
-//!   search.
+//! * [`fused`] — the FAST kernel: one δ-window scan per center node,
+//!   const-generic over the motif families it counts. The full
+//!   instantiation counts all 36 motifs in one scan and backs every
+//!   whole-graph driver below.
+//! * [`fast_star`](crate::fast_star::fast_star) — Algorithm 1, the
+//!   star/pair-only instantiation of that scan: every star **and** pair
+//!   motif, O(1) per (first, third)-edge combination via per-neighbour
+//!   counters.
+//! * [`fast_tri`](crate::fast_tri::fast_tri) — Algorithm 2, the
+//!   triangle-only instantiation: triangle counting driven by the
+//!   per-pair edge index, δ-windowed by binary search.
 //! * [`fast_pair`](crate::fast_pair::fast_pair) — the cheap pair-only
 //!   variant (sliding-window DP, O(|E|)).
 //! * [`Hare`] — the hierarchical parallel framework (§IV.C): inter-node
@@ -85,9 +90,7 @@ pub mod sample;
 pub mod scratch;
 pub mod stream_sample;
 pub mod streaming;
-pub mod sweep;
 pub mod windowed;
-pub mod windows;
 
 pub use counters::{MotifCounts, MotifMatrix, PairCounter, StarCounter, TriCounter};
 pub use fingerprint::{
@@ -109,7 +112,7 @@ use temporal_graph::{TemporalGraph, Timestamp};
 
 /// Count all 36 motifs sequentially — the paper's single-threaded "FAST"
 /// configuration, implemented as one fused star+pair+triangle scan per
-/// node ([`fused::count_node_all_range`]). Use [`Hare::count_all`] for
+/// node ([`fused::fused_all`]). Use [`Hare::count_all`] for
 /// the parallel framework.
 #[must_use]
 pub fn count_motifs(g: &TemporalGraph, delta: Timestamp) -> MotifCounts {

@@ -339,7 +339,7 @@ pub fn count_motifs_ooc_probed<P: Probe>(
             if range.is_empty() {
                 continue;
             }
-            crate::fused::count_node_all_into(
+            crate::fused::count_node_into::<true, true>(
                 g,
                 u,
                 range,
@@ -387,7 +387,7 @@ pub fn node_profiles_ooc(
             let mut star_acc = [0u64; 24];
             let mut pair_acc = [0u64; 8];
             let mut tri_acc = [0u64; 24];
-            crate::fused::count_node_all_into(
+            crate::fused::count_node_into::<true, true>(
                 g,
                 u,
                 range,

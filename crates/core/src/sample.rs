@@ -417,7 +417,7 @@ impl SampledCounter {
                 if slot != u32::MAX {
                     let t = &mut tallies[slot as usize];
                     t.touched = true;
-                    crate::fused::count_node_all_into(
+                    crate::fused::count_node_into::<true, true>(
                         g,
                         node,
                         range,
@@ -460,7 +460,7 @@ impl SampledCounter {
                 });
                 let t = &mut tallies[slot as usize].1;
                 t.touched = true;
-                crate::fused::count_node_all_into(
+                crate::fused::count_node_into::<true, true>(
                     g,
                     node,
                     range,
@@ -527,7 +527,7 @@ fn tally_window(
     with_thread_scratch(g.num_nodes(), |scratch| {
         for s in slices.slices_of(k) {
             tally.touched = true;
-            crate::fused::count_node_all_into(
+            crate::fused::count_node_into::<true, true>(
                 g,
                 s.node,
                 s.range(),

@@ -1070,7 +1070,7 @@ impl StreamingEstimator {
         with_thread_scratch(g.num_nodes(), |scratch| {
             for &(node, s, e) in &runs {
                 tally.touched = true;
-                crate::fused::count_node_all_into(
+                crate::fused::count_node_into::<true, true>(
                     &g,
                     node,
                     s as usize..e as usize,
@@ -1326,7 +1326,7 @@ impl StreamingEstimator {
             with_thread_scratch(g.num_nodes(), |scratch| {
                 for &(_, node, lo, hi) in &runs[s..e] {
                     tally.touched = true;
-                    crate::fused::count_node_all_into(
+                    crate::fused::count_node_into::<true, true>(
                         g,
                         node,
                         lo as usize..hi as usize,
@@ -1738,7 +1738,7 @@ mod tests {
                 for &(kk, node, lo, hi) in &runs {
                     if kk == k {
                         tally.touched = true;
-                        crate::fused::count_node_all_into(
+                        crate::fused::count_node_into::<true, true>(
                             &g,
                             node,
                             lo as usize..hi as usize,

@@ -8,6 +8,7 @@
 //! the same 36 numbers on every workload.
 
 use hare::motif::{m, Motif, MotifCategory};
+use hare::{DegreeThreshold, Hare, HareConfig, MotifMatrix};
 use temporal_graph::gen::{erdos_renyi_temporal, hub_burst, GenConfig};
 use temporal_graph::TemporalGraph;
 
@@ -59,7 +60,26 @@ fn all_exact_algorithms_agree() {
 
 #[test]
 fn specialised_variants_agree_with_full_count() {
-    for (name, g) in workloads() {
+    // The category-restricted engine paths behind `--only` / `?only=`
+    // are checked against the enumeration oracle at one thread, and on
+    // two threads with every node above degree 5 split into intra-node
+    // sub-ranges. The extra graph holds enough events
+    // (2|E| >= SEQ_FALLBACK_EVENTS) that the two-thread engine takes the
+    // pool path instead of the sequential fallback.
+    let engines = [
+        Hare::with_threads(1),
+        Hare::new(HareConfig {
+            num_threads: 2,
+            degree_threshold: DegreeThreshold::Fixed(5),
+            min_task_events: 4,
+            ..HareConfig::default()
+        }),
+    ];
+    let pooled = erdos_renyi_temporal(200, 17_000, 20_000, 3);
+    assert!(2 * pooled.num_edges() >= hare::hare::SEQ_FALLBACK_EVENTS);
+    let mut graphs = workloads();
+    graphs.push(("pooled".into(), pooled));
+    for (name, g) in graphs {
         let delta = 300;
         let full = hare::count_motifs(&g, delta);
         let pair_only = hare::count_pair_motifs(&g, delta);
@@ -79,6 +99,26 @@ fn specialised_variants_agree_with_full_count() {
                     assert_eq!(full.get(mo), ex_tris.get(mo), "{name} {mo} ex-tri");
                 }
                 MotifCategory::Star => {}
+            }
+        }
+
+        let oracle = hare_baselines::enumerate_all(&g, delta);
+        for cat in [
+            MotifCategory::Pair,
+            MotifCategory::Star,
+            MotifCategory::Triangle,
+        ] {
+            let mut expect = MotifMatrix::default();
+            for mo in Motif::all().filter(|mo| mo.category() == cat) {
+                expect.set(mo, oracle.get(mo));
+            }
+            for engine in &engines {
+                assert_eq!(
+                    engine.count_matrix(&g, delta, Some(cat)),
+                    expect,
+                    "{name} only={cat:?} {:?}",
+                    engine.config()
+                );
             }
         }
     }

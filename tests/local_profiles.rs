@@ -3,8 +3,9 @@
 //! Pins the fused-attribution path (`hare::fingerprint::profile_of`,
 //! one δ-window scan per center via `fused.rs`) bit-identical to
 //!
-//! 1. the pre-fusion per-kernel path (`profile_of_separate`: separate
-//!    FAST-Star and FAST-Tri drives per node),
+//! 1. the star-only and triangle-only instantiations of the same scan
+//!    summed per node (`profile_of_separate`), which checks that the
+//!    kernel's star and triangle flags are decoupled,
 //! 2. brute-force attribution derived from `baselines/enumerate.rs`
 //!    (every instance visited once; stars attribute to their center,
 //!    pairs to both endpoints, triangles to all three vertices),
@@ -60,9 +61,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Tentpole differential #1: the fused single-scan attribution is
-    /// bit-identical to the pre-fusion per-kernel path on every node of
-    /// every graph (self-loops and duplicate timestamps included in the
-    /// raw stream; the builder's ingestion policy is part of the path).
+    /// bit-identical to the star-only and triangle-only scans summed on
+    /// every node of every graph (self-loops and duplicate timestamps
+    /// included in the raw stream; the builder's ingestion policy is part
+    /// of the path).
     #[test]
     fn fused_profiles_match_separate_kernels(g in arb::graph(8, 40, 60), delta in 0i64..80) {
         let mut scratch = NeighborScratch::new(g.num_nodes());
