@@ -117,9 +117,11 @@ thread_local! {
 /// The scratch grows monotonically and is retained for the thread's
 /// lifetime (~12 bytes per node of the largest graph counted on that
 /// thread). That is the right trade for counting workloads — reset is
-/// O(1), re-allocation never happens — but a long-lived process that
-/// counted one huge graph keeps that thread's high-water allocation
-/// until the thread exits.
+/// O(1), re-allocation never happens. The parallel workers are the
+/// vendored rayon's helper threads, which live for the whole process,
+/// so each one keeps its scratch high-water mark too: a long-lived
+/// process that counted one huge graph holds that allocation on every
+/// thread that took part, until the process exits.
 pub fn with_thread_scratch<R>(num_nodes: usize, f: impl FnOnce(&mut NeighborScratch) -> R) -> R {
     THREAD_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();

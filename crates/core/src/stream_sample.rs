@@ -1363,7 +1363,7 @@ impl StreamingEstimator {
         if self.cfg.threads > 0 {
             self.cfg.threads
         } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            crate::hare::available_cores()
         }
     }
 }

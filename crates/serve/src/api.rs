@@ -444,9 +444,11 @@ impl Plan {
     }
 }
 
-/// Upper bound on `?threads=`: far above any real core count, low
-/// enough that a hostile value cannot exhaust OS threads (the vendored
-/// rayon pool spawns up to this many workers per query).
+/// Upper bound on `?threads=`: far above any real core count. The value
+/// is only a cap on the process-wide worker pool (at most
+/// `max(cores − 1, 1)` shared helpers plus the worker handling the
+/// query), so even this many spawns no threads; the bound just rejects
+/// absurd requests early.
 pub(crate) const MAX_QUERY_THREADS: usize = 1024;
 
 fn count(state: &AppState, req: &Request) -> ApiResponse {
