@@ -11,17 +11,19 @@
 //!                                                       # sliding window
 //! ```
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use hare::sample::{SampleConfig, SampledCounter};
+use hare::query::{self, Answer, Kind, Mode, Query, QueryError};
 use hare::stream_sample::{StreamSampleConfig, StreamingEstimator};
 use hare::streaming::StreamError;
 use hare::windowed::WindowedCounter;
-use hare::{Hare, HareConfig, MotifCategory};
+use hare::MotifCategory;
 use temporal_graph::io::{load_edges, load_graph, LoadOptions};
 use temporal_graph::stats::GraphStats;
 use temporal_graph::util::FxHashMap;
-use temporal_graph::{NodeId, Timestamp};
+use temporal_graph::{NodeId, TemporalGraph, Timestamp};
 
 const USAGE: &str = "\
 hare-count: exact δ-temporal motif counting (FAST/HARE, ICDE 2022)
@@ -33,8 +35,9 @@ OPTIONS:
     --input FILE        SNAP-style edge list: 'src dst timestamp' per line
     --dataset NAME      generate a Table II stand-in from the registry
     --scale K           stand-in scale divisor (default 1)
-    --delta SECONDS     the motif time window δ (required)
-    --threads N         worker threads (default: all cores; 1 = sequential FAST)
+    --delta SECONDS     the motif time window δ >= 0 (required)
+    --threads N         worker threads, at most 1024 (default: all cores;
+                        1 = sequential FAST)
     --only CATEGORY     pairs | stars | triangles | all (default all)
     --timestamp-col N   zero-based timestamp column (default 2)
     --json              machine-readable output
@@ -104,18 +107,18 @@ STREAMING (sliding-window) MODE:
 SERVICE PARITY:
     The long-running `hare-serve` daemon answers the same queries over
     HTTP with bodies byte-identical to this tool's --json --no-timing
-    output (both render via the shared `hare::report` wire schema).
+    output. Both parse their parameters through one query type
+    (`hare::query`: URL param `window_factor` is --window-factor here,
+    `k` is --top-k, `motif` is --rank-motif, `engine=approx` is
+    --approx) and render through one wire schema (`hare::report`).
     See docs/SERVICE.md.
 ";
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Opts {
     input: Option<String>,
     dataset: Option<String>,
     scale: usize,
-    delta: Option<i64>,
-    threads: usize,
-    only: String,
     timestamp_col: usize,
     json: bool,
     stats: bool,
@@ -123,18 +126,61 @@ struct Opts {
     window: Option<i64>,
     slack: i64,
     tick: Option<i64>,
-    approx: bool,
-    prob: f64,
-    ci: f64,
-    window_factor: i64,
-    seed: u64,
-    nodes: bool,
-    top_k: Option<usize>,
-    rank_motif: Option<String>,
     lanes: String,
     chunk_budget: Option<usize>,
     memory_budget: Option<u64>,
     profile: bool,
+    /// Every mode but `--stats` has one; `--window` modes read their δ,
+    /// threads and estimator settings from it.
+    query: Option<Query>,
+}
+
+/// The flags that carry a query key, with the key each one sets
+/// (`--approx` sets `engine=approx` and takes no value).
+const QUERY_FLAGS: [(&str, &str); 10] = [
+    ("--delta", "delta"),
+    ("--threads", "threads"),
+    ("--approx", "engine"),
+    ("--only", "only"),
+    ("--prob", "prob"),
+    ("--ci", "ci"),
+    ("--window-factor", "window_factor"),
+    ("--seed", "seed"),
+    ("--top-k", "k"),
+    ("--rank-motif", "motif"),
+];
+
+/// The flag spelling of a query or stream key.
+fn flag_of(key: &str) -> String {
+    QUERY_FLAGS.iter().find(|(_, k)| *k == key).map_or_else(
+        || format!("--{}", key.replace('_', "-")),
+        |(f, _)| f.to_string(),
+    )
+}
+
+/// How `hare-count` selects each mode, for error messages.
+fn mode_name(mode: Mode) -> Option<&'static str> {
+    Some(match mode {
+        Mode::Exact => "exact counting",
+        Mode::Approx => "--approx",
+        Mode::NodeProfile => "--nodes",
+        Mode::TopNodes => "--nodes ranking",
+        Mode::Window => "--window",
+        Mode::Budget => "--memory-budget",
+    })
+}
+
+/// Parse the value of a numeric flag, no smaller than `min`.
+fn number<T: FromStr + Display + PartialOrd + Copy>(
+    flag: &str,
+    raw: &str,
+    min: T,
+) -> Result<T, String> {
+    query::at_least(raw, min).map_err(|e| format!("{flag} {e}"))
+}
+
+fn render_err(e: QueryError) -> String {
+    format!("{} {}", flag_of(&e.key), e.message)
 }
 
 fn parse_lanes(name: &str) -> Result<temporal_graph::LaneLayout, String> {
@@ -145,129 +191,55 @@ fn parse_lanes(name: &str) -> Result<temporal_graph::LaneLayout, String> {
     }
 }
 
+/// The adapter from flags to a [`Query`]: query flags become
+/// `(key, value)` pairs for [`Query::parse`], which owns every rule
+/// about them; the checks left here are about the flags only this tool
+/// has (input, output, storage and streaming).
 fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
-        input: None,
-        dataset: None,
         scale: 1,
-        delta: None,
-        threads: 0,
-        only: "all".into(),
         timestamp_col: 2,
-        json: false,
-        stats: false,
-        no_timing: false,
-        window: None,
-        slack: 0,
-        tick: None,
-        approx: false,
-        prob: 0.1,
-        ci: 0.95,
-        window_factor: 10,
-        seed: 42,
-        nodes: false,
-        top_k: None,
-        rank_motif: None,
         lanes: "raw".into(),
-        chunk_budget: None,
-        memory_budget: None,
-        profile: false,
+        ..Opts::default()
     };
-    let mut it = args.iter().peekable();
+    let mut pairs: Vec<(&str, &str)> = Vec::new();
+    let mut nodes = false;
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
+        let mut value = |name: &str| -> Result<&str, String> {
             it.next()
-                .cloned()
+                .map(String::as_str)
                 .ok_or_else(|| format!("{name} requires a value"))
         };
+        if let Some(&(flag, key)) = QUERY_FLAGS.iter().find(|(f, _)| f == arg) {
+            let v = if key == "engine" {
+                "approx"
+            } else {
+                value(flag)?
+            };
+            pairs.push((key, v));
+            continue;
+        }
         match arg.as_str() {
-            "--input" => o.input = Some(value("--input")?),
-            "--dataset" => o.dataset = Some(value("--dataset")?),
-            "--scale" => {
-                o.scale = value("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?
-            }
-            "--delta" => {
-                o.delta = Some(
-                    value("--delta")?
-                        .parse()
-                        .map_err(|e| format!("--delta: {e}"))?,
-                )
-            }
-            "--threads" => {
-                o.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--only" => o.only = value("--only")?,
+            "--input" => o.input = Some(value("--input")?.into()),
+            "--dataset" => o.dataset = Some(value("--dataset")?.into()),
+            "--scale" => o.scale = number("--scale", value("--scale")?, 1)?,
             "--timestamp-col" => {
-                o.timestamp_col = value("--timestamp-col")?
-                    .parse()
-                    .map_err(|e| format!("--timestamp-col: {e}"))?;
+                o.timestamp_col = number("--timestamp-col", value("--timestamp-col")?, 0)?
             }
             "--json" => o.json = true,
             "--stats" => o.stats = true,
             "--no-timing" => o.no_timing = true,
-            "--window" => {
-                o.window = Some(
-                    value("--window")?
-                        .parse()
-                        .map_err(|e| format!("--window: {e}"))?,
-                )
-            }
-            "--slack" => {
-                o.slack = value("--slack")?
-                    .parse()
-                    .map_err(|e| format!("--slack: {e}"))?
-            }
-            "--tick" => {
-                o.tick = Some(
-                    value("--tick")?
-                        .parse()
-                        .map_err(|e| format!("--tick: {e}"))?,
-                )
-            }
-            "--approx" => o.approx = true,
-            "--prob" => {
-                o.prob = value("--prob")?
-                    .parse()
-                    .map_err(|e| format!("--prob: {e}"))?
-            }
-            "--ci" => o.ci = value("--ci")?.parse().map_err(|e| format!("--ci: {e}"))?,
-            "--window-factor" => {
-                o.window_factor = value("--window-factor")?
-                    .parse()
-                    .map_err(|e| format!("--window-factor: {e}"))?
-            }
-            "--seed" => {
-                o.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--nodes" => o.nodes = true,
-            "--top-k" => {
-                o.top_k = Some(
-                    value("--top-k")?
-                        .parse()
-                        .map_err(|e| format!("--top-k: {e}"))?,
-                )
-            }
-            "--rank-motif" => o.rank_motif = Some(value("--rank-motif")?),
-            "--lanes" => o.lanes = value("--lanes")?,
+            "--window" => o.window = Some(number("--window", value("--window")?, 0)?),
+            "--slack" => o.slack = number("--slack", value("--slack")?, 0)?,
+            "--tick" => o.tick = Some(number("--tick", value("--tick")?, 1)?),
+            "--nodes" => nodes = true,
+            "--lanes" => o.lanes = value("--lanes")?.into(),
             "--chunk-budget" => {
-                o.chunk_budget = Some(
-                    value("--chunk-budget")?
-                        .parse()
-                        .map_err(|e| format!("--chunk-budget: {e}"))?,
-                )
+                o.chunk_budget = Some(number("--chunk-budget", value("--chunk-budget")?, 1)?)
             }
             "--memory-budget" => {
-                o.memory_budget = Some(
-                    value("--memory-budget")?
-                        .parse()
-                        .map_err(|e| format!("--memory-budget: {e}"))?,
-                )
+                o.memory_budget = Some(number("--memory-budget", value("--memory-budget")?, 1)?)
             }
             "--profile" => o.profile = true,
             "--help" | "-h" => return Err(String::new()),
@@ -280,131 +252,61 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     if o.input.is_some() && o.dataset.is_some() {
         return Err("--input and --dataset are mutually exclusive".into());
     }
-    if o.delta.is_none() && !o.stats {
-        return Err("--delta is required (seconds)".into());
+    parse_lanes(&o.lanes).map_err(|e| format!("--lanes: {e}"))?;
+    let stream = o.window.is_some();
+    if o.memory_budget.is_some() && !stream {
+        return Err("--memory-budget requires --window (streaming mode)".into());
     }
-    if o.scale == 0 {
-        return Err("--scale must be at least 1".into());
-    }
-    if let Err(e) = hare::report::parse_only(&o.only) {
-        return Err(format!("--only {e}"));
-    }
-    if let Some(w) = o.window {
-        let delta = o.delta.ok_or("--window requires --delta")?;
-        if w < delta {
-            return Err(format!("--window must be >= --delta ({w} < {delta})"));
-        }
-        if o.stats {
-            return Err("--stats is not supported with --window".into());
-        }
-        if o.only != "all" {
-            return Err("--only is not supported with --window".into());
-        }
-    }
-    if o.slack < 0 {
-        return Err("--slack must be non-negative".into());
-    }
-    if o.window.is_none() && (o.slack != 0 || o.tick.is_some()) {
+    if !stream && (o.slack != 0 || o.tick.is_some()) {
         return Err("--slack/--tick require --window".into());
     }
-    if o.tick.is_some_and(|t| t < 1) {
-        return Err("--tick must be at least 1".into());
-    }
-    if o.approx {
-        if o.delta.is_none() {
-            return Err("--approx requires --delta".into());
-        }
-        if o.window.is_some() {
-            return Err("--approx and --window are mutually exclusive".into());
-        }
-        if o.stats {
-            return Err("--stats is not supported with --approx".into());
-        }
-        if o.only != "all" {
-            return Err("--only is not supported with --approx".into());
-        }
-        if !(o.prob > 0.0 && o.prob <= 1.0) {
-            return Err(format!("--prob must be in (0, 1], got {}", o.prob));
-        }
-        if !(o.ci > 0.0 && o.ci < 1.0) {
-            return Err(format!("--ci must be in (0, 1), got {}", o.ci));
-        }
-        if o.window_factor < 1 {
-            return Err(format!(
-                "--window-factor must be at least 1, got {}",
-                o.window_factor
-            ));
-        }
-    } else {
-        if args.iter().any(|a| a == "--prob") {
-            return Err("--prob requires --approx".into());
-        }
-        // --ci/--window-factor/--seed tune either estimator.
-        if o.memory_budget.is_none()
-            && ["--ci", "--window-factor", "--seed"]
-                .iter()
-                .any(|f| args.iter().any(|a| a == f))
-        {
-            return Err("--ci/--window-factor/--seed require --approx or --memory-budget".into());
-        }
-    }
-    if let Some(b) = o.memory_budget {
-        if b == 0 {
-            return Err("--memory-budget must be at least 1 byte".into());
-        }
-        if o.window.is_none() {
-            return Err("--memory-budget requires --window (streaming mode)".into());
-        }
-        if !(o.ci > 0.0 && o.ci < 1.0) {
-            return Err(format!("--ci must be in (0, 1), got {}", o.ci));
-        }
-        if o.window_factor < 1 {
-            return Err(format!(
-                "--window-factor must be at least 1, got {}",
-                o.window_factor
-            ));
-        }
-    }
-    if o.nodes {
-        if o.delta.is_none() {
-            return Err("--nodes requires --delta".into());
-        }
-        if o.window.is_some() || o.approx || o.stats {
-            return Err("--nodes is exclusive with --window/--approx/--stats".into());
-        }
-        if o.only != "all" {
-            return Err("--only is not supported with --nodes".into());
-        }
-        if o.top_k == Some(0) {
-            return Err("--top-k must be at least 1".into());
-        }
-        if let Some(m) = &o.rank_motif {
-            if let Err(e) = m.parse::<hare::Motif>() {
-                return Err(format!("--rank-motif: {e}"));
-            }
-        }
-    } else if o.top_k.is_some() || o.rank_motif.is_some() {
-        return Err("--top-k/--rank-motif require --nodes".into());
-    }
-    if let Err(e) = parse_lanes(&o.lanes) {
-        return Err(format!("--lanes: {e}"));
-    }
-    if o.lanes != "raw" && o.window.is_some() {
+    if stream && o.lanes != "raw" {
         return Err("--lanes is not supported with --window".into());
     }
-    if let Some(b) = o.chunk_budget {
-        if b == 0 {
-            return Err("--chunk-budget must be at least 1 byte".into());
-        }
-        if o.window.is_some() || o.approx || o.stats || o.nodes || o.only != "all" {
-            return Err(
-                "--chunk-budget is exclusive with --only/--window/--approx/--stats/--nodes".into(),
-            );
-        }
+    if o.stats {
+        // The graph shape needs no query: --delta and --threads are
+        // tolerated (and ignored), every other query flag is refused.
+        let modes = [
+            (stream, "--window"),
+            (nodes, "--nodes"),
+            (o.chunk_budget.is_some(), "--chunk-budget"),
+            (o.profile, "--profile"),
+        ];
+        let other = (modes.iter().find(|(on, _)| *on).map(|(_, f)| f.to_string())).or_else(|| {
+            pairs
+                .iter()
+                .find(|(k, _)| !matches!(*k, "delta" | "threads"))
+                .map(|(k, _)| flag_of(k))
+        });
+        return match other {
+            Some(flag) => Err(format!("--stats is not supported with {flag}")),
+            None => Ok(o),
+        };
     }
-    if o.profile && (o.window.is_some() || o.stats || o.nodes) {
+    if nodes && stream {
+        return Err("--nodes is not supported with --window".into());
+    }
+    let mode = match (o.window, o.memory_budget) {
+        (Some(_), None) => Mode::Window,
+        (Some(_), Some(_)) => Mode::Budget,
+        _ if !nodes => Mode::Exact,
+        _ if pairs.iter().any(|(k, _)| matches!(*k, "k" | "motif")) => Mode::TopNodes,
+        _ => Mode::NodeProfile,
+    };
+    let q = Query::parse(mode, &pairs, mode_name).map_err(render_err)?;
+    if let Some(w) = o.window {
+        query::check_stream(q.delta, w, o.slack, o.memory_budget).map_err(render_err)?;
+    }
+    let batch = !stream;
+    if o.chunk_budget.is_some() && !(batch && q.kind == (Kind::Exact { only: None })) {
+        return Err(
+            "--chunk-budget is exclusive with --only/--window/--approx/--stats/--nodes".into(),
+        );
+    }
+    if o.profile && !(batch && matches!(q.kind, Kind::Exact { .. } | Kind::Approx { .. })) {
         return Err("--profile is not supported with --window/--stats/--nodes".into());
     }
+    o.query = Some(q);
     Ok(o)
 }
 
@@ -412,34 +314,37 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
 /// order (file order / generation order), ids compacted, self-loops kept
 /// so the engine's rejection policy is what drops them.
 fn load_stream(o: &Opts) -> Result<Vec<(NodeId, NodeId, Timestamp)>, String> {
-    match (&o.input, &o.dataset) {
-        (Some(path), None) => {
-            let opts = LoadOptions {
-                timestamp_column: o.timestamp_col,
-                ..LoadOptions::default()
-            };
-            let raw = load_edges(path, &opts).map_err(|e| format!("loading {path}: {e}"))?;
-            let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
-            let mut intern = |x: u64| -> NodeId {
-                let next = remap.len() as NodeId;
-                *remap.entry(x).or_insert(next)
-            };
-            Ok(raw
-                .into_iter()
-                .map(|(s, d, t)| (intern(s), intern(d), t))
-                .collect())
-        }
-        (None, Some(name)) => {
-            let g = hare_datasets::by_name(name)
-                .ok_or_else(|| {
-                    let names: Vec<&str> = hare_datasets::all().iter().map(|d| d.name).collect();
-                    format!("unknown dataset {name:?}; known: {}", names.join(", "))
-                })?
-                .generate(o.scale);
-            Ok(g.edges().iter().map(|e| (e.src, e.dst, e.t)).collect())
-        }
-        _ => unreachable!("validated in parse_args"),
+    let Some(path) = &o.input else {
+        let g = generate(o)?;
+        return Ok(g.edges().iter().map(|e| (e.src, e.dst, e.t)).collect());
+    };
+    let raw = load_edges(path, &load_options(o)).map_err(|e| format!("loading {path}: {e}"))?;
+    let mut remap: FxHashMap<u64, NodeId> = FxHashMap::default();
+    let mut intern = |x: u64| -> NodeId {
+        let next = remap.len() as NodeId;
+        *remap.entry(x).or_insert(next)
+    };
+    Ok(raw
+        .into_iter()
+        .map(|(s, d, t)| (intern(s), intern(d), t))
+        .collect())
+}
+
+fn load_options(o: &Opts) -> LoadOptions {
+    LoadOptions {
+        timestamp_column: o.timestamp_col,
+        ..LoadOptions::default()
     }
+}
+
+/// The `--dataset` registry stand-in at `--scale`.
+fn generate(o: &Opts) -> Result<TemporalGraph, String> {
+    let name = o.dataset.as_deref().unwrap_or_default();
+    let d = hare_datasets::by_name(name).ok_or_else(|| {
+        let names: Vec<&str> = hare_datasets::all().iter().map(|d| d.name).collect();
+        format!("unknown dataset {name:?}; known: {}", names.join(", "))
+    })?;
+    Ok(d.generate(o.scale))
 }
 
 /// Cumulative drop statistics of a streaming run.
@@ -530,26 +435,30 @@ fn emit_tick(o: &Opts, engine: &StreamEngine, tick_t: Timestamp, drops: &DropSta
 /// `WindowedCounter` (or, under `--memory-budget`, the bounded-memory
 /// estimator), emitting the live-window motif matrix at every
 /// event-time tick boundary and once more at the final watermark.
-fn run_stream(o: &Opts) -> Result<(), String> {
-    let delta = o.delta.expect("validated");
-    let window = o.window.expect("streaming mode");
+fn run_stream(o: &Opts, q: &Query, window: Timestamp) -> Result<(), String> {
     let tick = o.tick.unwrap_or_else(|| window.max(1));
     let arrivals = load_stream(o)?;
 
-    let mut wc = match o.memory_budget {
-        None => StreamEngine::Exact(Box::new(WindowedCounter::with_slack(
-            delta, window, o.slack,
+    let mut wc = match (o.memory_budget, &q.kind) {
+        (
+            Some(budget),
+            &Kind::Approx {
+                ci,
+                window_factor,
+                seed,
+                ..
+            },
+        ) => StreamEngine::Budget(Box::new(StreamingEstimator::new(StreamSampleConfig {
+            slack: o.slack,
+            window_factor,
+            confidence: ci,
+            seed,
+            threads: q.threads,
+            ..StreamSampleConfig::new(q.delta, window, budget)
+        }))),
+        _ => StreamEngine::Exact(Box::new(WindowedCounter::with_slack(
+            q.delta, window, o.slack,
         ))),
-        Some(budget) => {
-            StreamEngine::Budget(Box::new(StreamingEstimator::new(StreamSampleConfig {
-                slack: o.slack,
-                window_factor: o.window_factor,
-                confidence: o.ci,
-                seed: o.seed,
-                threads: o.threads,
-                ..StreamSampleConfig::new(delta, window, budget)
-            })))
-        }
     };
     let mut drops = DropStats::default();
     let mut next_boundary: Option<Timestamp> = None;
@@ -609,188 +518,123 @@ fn run_stream(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Approximate (interval-sampling) mode: estimate all 36 motif counts
-/// with per-motif standard errors and confidence intervals.
-fn run_approx(
-    o: &Opts,
-    graph: &temporal_graph::TemporalGraph,
-    stats: &GraphStats,
-    delta: i64,
-) -> Result<(), String> {
-    let counter = SampledCounter::new(SampleConfig {
-        prob: o.prob,
-        window_factor: o.window_factor,
-        confidence: o.ci,
-        seed: o.seed,
-        threads: o.threads,
-    });
-    let start = std::time::Instant::now();
-    // The probe is observation-only: the profiled estimate is
-    // bit-identical to the unprofiled one (pinned end-to-end).
-    let probe = o.profile.then(hare::WallClockProbe::new);
-    let est = match &probe {
-        Some(p) => counter.count_probed(graph, delta, p),
-        None => counter.count(graph, delta),
-    };
-    let secs = start.elapsed().as_secs_f64();
-    if let Some(p) = &probe {
-        eprint!("{}", p.render_table());
-    }
-
-    if o.json {
-        let body = hare::report::approx_body(
-            stats.num_nodes,
-            stats.num_edges,
-            delta,
-            o.window_factor,
-            o.seed,
-            &est,
-            (!o.no_timing).then_some(secs),
-        );
-        print!("{}", hare::report::render(&body));
-    } else {
-        let timing = if o.no_timing {
+/// The human-readable tables of the batch modes; `--json` prints
+/// [`Answer::render`] instead.
+fn print_text(o: &Opts, answer: &Answer, stats: &GraphStats, delta: Timestamp, secs: f64) {
+    let timing = |verb: &str| {
+        if o.no_timing {
             String::new()
         } else {
-            format!(" | counted in {secs:.3}s")
-        };
-        println!(
-            "graph: {} nodes, {} edges | delta = {delta}s | approx p={:.3} c={} ci={:.0}% \
-             seed={} | windows {}/{}{timing}",
-            stats.num_nodes,
-            stats.num_edges,
-            est.prob,
-            o.window_factor,
-            est.confidence * 100.0,
-            o.seed,
-            est.windows_sampled,
-            est.windows_total,
-        );
-        println!(
-            "{:>6} {:>14} {:>12} {:>14} {:>14}",
-            "motif", "estimate", "stderr", "ci_lo", "ci_hi"
-        );
-        for (m, e) in est.iter() {
-            println!(
-                "{:>6} {:>14.1} {:>12.1} {:>14.1} {:>14.1}",
-                m.to_string(),
-                e.estimate,
-                e.stderr,
-                e.ci_lo,
-                e.ci_hi
-            );
+            format!(" | {verb} in {secs:.3}s")
         }
-        println!("total estimate: {:.1}", est.total_estimate());
-    }
-    Ok(())
-}
-
-/// Per-node profile mode: sparse local motif profiles, optionally
-/// ranked (top-k by one motif, or by z-score anomaly). JSON output is
-/// timing-free by construction — profile bodies are served from the
-/// `hare-serve` cache and must be byte-stable.
-fn run_nodes(
-    o: &Opts,
-    graph: &temporal_graph::TemporalGraph,
-    stats: &GraphStats,
-    delta: i64,
-) -> Result<(), String> {
-    let start = std::time::Instant::now();
-    let profiles = hare::NodeProfiles::compute(graph, delta, o.threads);
-    let secs = start.elapsed().as_secs_f64();
-
-    if let Some(name) = &o.rank_motif {
-        let motif: hare::Motif = name.parse().expect("validated in parse_args");
-        let k = o.top_k.unwrap_or(10);
-        let ranked = hare::top_k_nodes(&profiles, motif, k);
-        if o.json {
-            let body = hare::report::top_nodes_body(delta, motif, k, &ranked);
-            print!("{}", hare::report::render(&body));
-        } else {
+    };
+    let graph = format!(
+        "graph: {} nodes, {} edges | delta = {delta}s",
+        stats.num_nodes, stats.num_edges
+    );
+    match answer {
+        Answer::Exact(matrix) => {
+            println!("{graph}{}", timing("counted"));
+            println!("{matrix}");
+            for (label, cat) in [
+                ("pair", MotifCategory::Pair),
+                ("star", MotifCategory::Star),
+                ("triangle", MotifCategory::Triangle),
+            ] {
+                println!("{label:>9} total: {}", matrix.category_total(cat));
+            }
+            // Grid layout (rows/cols to motif identities) is documented in
+            // `hare::motif`.
+            println!("    total: {}", matrix.total());
+        }
+        Answer::Approx {
+            est,
+            window_factor,
+            seed,
+        } => {
+            println!(
+                "{graph} | approx p={:.3} c={window_factor} ci={:.0}% seed={seed} | windows {}/{}{}",
+                est.prob,
+                est.confidence * 100.0,
+                est.windows_sampled,
+                est.windows_total,
+                timing("counted"),
+            );
+            println!(
+                "{:>6} {:>14} {:>12} {:>14} {:>14}",
+                "motif", "estimate", "stderr", "ci_lo", "ci_hi"
+            );
+            for (m, e) in est.iter() {
+                println!(
+                    "{:>6} {:>14.1} {:>12.1} {:>14.1} {:>14.1}",
+                    m.to_string(),
+                    e.estimate,
+                    e.stderr,
+                    e.ci_lo,
+                    e.ci_hi
+                );
+            }
+            println!("total estimate: {:.1}", est.total_estimate());
+        }
+        Answer::Profiles { profiles, .. } => {
+            println!(
+                "{graph} | {} participating nodes{}",
+                profiles.len(),
+                timing("computed")
+            );
+            for (u, p) in profiles.iter() {
+                let cells: Vec<String> = p
+                    .iter()
+                    .filter(|&(_, n)| n > 0)
+                    .map(|(m, n)| format!("{m}:{n}"))
+                    .collect();
+                println!("node {u:>8} | total {:>8} | {}", p.total(), cells.join(" "));
+            }
+        }
+        Answer::ByMotif {
+            profiles,
+            motif,
+            k,
+            rows,
+        } => {
             println!(
                 "top {k} nodes by {motif} participation | delta = {delta}s | {} participating nodes",
                 profiles.len()
             );
             println!("{:>10} {:>12}", "node", "count");
-            for (u, n) in &ranked {
+            for (u, n) in rows {
                 println!("{u:>10} {n:>12}");
             }
         }
-    } else if let Some(k) = o.top_k {
-        let dist = hare::ProfileDistribution::compute(&profiles);
-        let ranked = hare::rank_by_zscore(&profiles, &dist, k);
-        if o.json {
-            let body = hare::report::zscore_nodes_body(delta, k, &ranked);
-            print!("{}", hare::report::render(&body));
-        } else {
+        Answer::ByZscore { profiles, k, rows } => {
             println!(
                 "top {k} anomalous nodes by z-score norm | delta = {delta}s | {} participating nodes",
                 profiles.len()
             );
             println!("{:>10} {:>12}", "node", "score");
-            for (u, s) in &ranked {
-                println!("{u:>10} {s:>12.3}");
+            for (u, sc) in rows {
+                println!("{u:>10} {sc:>12.3}");
             }
         }
-    } else if o.json {
-        // One line per participating node — each line is byte-identical
-        // to the `GET /nodes/{id}/motifs` body for that node.
-        let mut out = String::new();
-        for (u, p) in profiles.iter() {
-            out.push_str(&hare::report::render(&hare::report::node_profile_body(
-                u, delta, p,
-            )));
-        }
-        print!("{out}");
-    } else {
-        let timing = if o.no_timing {
-            String::new()
-        } else {
-            format!(" | computed in {secs:.3}s")
-        };
-        println!(
-            "graph: {} nodes, {} edges | delta = {delta}s | {} participating nodes{timing}",
-            stats.num_nodes,
-            stats.num_edges,
-            profiles.len()
-        );
-        for (u, p) in profiles.iter() {
-            let cells: Vec<String> = p
-                .iter()
-                .filter(|&(_, n)| n > 0)
-                .map(|(m, n)| format!("{m}:{n}"))
-                .collect();
-            println!("node {u:>8} | total {:>8} | {}", p.total(), cells.join(" "));
-        }
     }
-    Ok(())
 }
 
 fn run(o: &Opts) -> Result<(), String> {
-    if o.window.is_some() {
-        return run_stream(o);
+    if let (Some(q), Some(window)) = (&o.query, o.window) {
+        return run_stream(o, q, window);
     }
-    let graph = match (&o.input, &o.dataset) {
-        (Some(path), None) => {
-            let opts = LoadOptions {
-                timestamp_column: o.timestamp_col,
-                ..LoadOptions::default()
-            };
-            load_graph(path, &opts).map_err(|e| format!("loading {path}: {e}"))?
+    let graph = match &o.input {
+        Some(path) => {
+            load_graph(path, &load_options(o)).map_err(|e| format!("loading {path}: {e}"))?
         }
-        (None, Some(name)) => hare_datasets::by_name(name)
-            .ok_or_else(|| {
-                let names: Vec<&str> = hare_datasets::all().iter().map(|d| d.name).collect();
-                format!("unknown dataset {name:?}; known: {}", names.join(", "))
-            })?
-            .generate(o.scale),
-        _ => unreachable!("validated in parse_args"),
+        None => generate(o)?,
     };
-    let layout = parse_lanes(&o.lanes).expect("validated in parse_args");
+    let layout = parse_lanes(&o.lanes)?;
     let graph = graph.into_lane_layout(layout);
 
     let stats = GraphStats::compute(&graph);
-    if o.stats {
+    let Some(q) = &o.query else {
+        // --stats: the graph shape only.
         if o.json {
             print!(
                 "{}",
@@ -807,27 +651,20 @@ fn run(o: &Opts) -> Result<(), String> {
             );
         }
         return Ok(());
-    }
+    };
 
-    let delta = o.delta.expect("validated");
-    if o.nodes {
-        return run_nodes(o, &graph, &stats, delta);
-    }
-    if o.approx {
-        return run_approx(o, &graph, &stats, delta);
-    }
     let start = std::time::Instant::now();
     // `--profile` threads a wall-clock probe through the kernel's phase
-    // seams; the probe only observes boundaries, so the matrix — and
+    // seams; the probe only observes boundaries, so the answer — and
     // therefore stdout — is bit-identical to the unprofiled run.
     let probe = o.profile.then(hare::WallClockProbe::new);
-    let matrix = if let Some(budget) = o.chunk_budget {
+    let answer = if let Some(budget) = o.chunk_budget {
         // Out-of-core path: stream delta-haloed chunks under the budget.
         // Counter addition is commutative, so the matrix (and therefore
         // the rendered body) is bit-identical to the in-RAM path.
         let src = hare::InMemorySource::from_graph(&graph);
         let cfg = hare::OocConfig {
-            delta,
+            delta: q.delta,
             budget_bytes: budget,
             lane_layout: layout,
         };
@@ -836,57 +673,26 @@ fn run(o: &Opts) -> Result<(), String> {
             None => hare::count_motifs_ooc(&src, cfg),
         }
         .map_err(|e| format!("out-of-core counting: {e}"))?;
-        counts.matrix
+        Answer::Exact(Box::new(counts.matrix))
     } else {
-        let engine = Hare::new(HareConfig {
-            num_threads: o.threads,
-            ..HareConfig::default()
-        });
-        let only = hare::report::parse_only(&o.only).expect("validated in parse_args");
         match &probe {
-            Some(p) => engine.count_matrix_probed(&graph, delta, only, p),
-            None => engine.count_matrix(&graph, delta, only),
+            Some(p) => q.compute(&graph, p),
+            None => q.compute(&graph, &hare::NoopProbe),
         }
     };
     let secs = start.elapsed().as_secs_f64();
     if let Some(p) = &probe {
         eprint!("{}", p.render_table());
     }
-
     if o.json {
         // Timing is the one nondeterministic field; --no-timing omits
         // it so output is byte-stable (golden-file tests rely on it).
-        let body = hare::report::exact_body(
-            stats.num_nodes,
-            stats.num_edges,
-            delta,
-            &matrix,
-            (!o.no_timing).then_some(secs),
+        print!(
+            "{}",
+            answer.render(q.delta, &stats, (!o.no_timing).then_some(secs))
         );
-        print!("{}", hare::report::render(&body));
     } else {
-        if o.no_timing {
-            println!(
-                "graph: {} nodes, {} edges | delta = {delta}s",
-                stats.num_nodes, stats.num_edges
-            );
-        } else {
-            println!(
-                "graph: {} nodes, {} edges | delta = {delta}s | counted in {:.3}s",
-                stats.num_nodes, stats.num_edges, secs
-            );
-        }
-        println!("{matrix}");
-        for (label, cat) in [
-            ("pair", MotifCategory::Pair),
-            ("star", MotifCategory::Star),
-            ("triangle", MotifCategory::Triangle),
-        ] {
-            println!("{label:>9} total: {}", matrix.category_total(cat));
-        }
-        // Grid layout (rows/cols to motif identities) is documented in
-        // `hare::motif`.
-        println!("    total: {}", matrix.total());
+        print_text(o, &answer, &stats, q.delta, secs);
     }
     Ok(())
 }
@@ -921,12 +727,30 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    fn query(o: &Opts) -> &Query {
+        o.query.as_ref().expect("a query mode")
+    }
+
+    /// `(prob, ci, window_factor, seed)` of an `--approx` or
+    /// `--memory-budget` run.
+    fn approx(o: &Opts) -> (f64, f64, i64, u64) {
+        match query(o).kind {
+            Kind::Approx {
+                prob,
+                ci,
+                window_factor,
+                seed,
+            } => (prob, ci, window_factor, seed),
+            ref other => panic!("not an estimator query: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_minimal_invocation() {
         let o = parse_args(&args(&["--input", "x.txt", "--delta", "600"])).unwrap();
         assert_eq!(o.input.as_deref(), Some("x.txt"));
-        assert_eq!(o.delta, Some(600));
-        assert_eq!(o.only, "all");
+        assert_eq!(o.query.as_ref().map(|q| q.delta), Some(600));
+        assert_eq!(query(&o).kind, Kind::Exact { only: None });
     }
 
     #[test]
@@ -960,7 +784,7 @@ mod tests {
     fn stats_mode_needs_no_delta() {
         let o = parse_args(&args(&["--dataset", "CollegeMsg", "--stats"])).unwrap();
         assert!(o.stats);
-        assert!(o.delta.is_none());
+        assert!(o.query.is_none());
     }
 
     #[test]
@@ -1094,9 +918,10 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(o.memory_budget, Some(1_048_576));
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.ci, 0.99);
-        assert_eq!(o.window_factor, 2);
+        let (_, ci, window_factor, seed) = approx(&o);
+        assert_eq!(seed, 7);
+        assert_eq!(ci, 0.99);
+        assert_eq!(window_factor, 2);
     }
 
     #[test]
@@ -1202,11 +1027,12 @@ mod tests {
             "7",
         ]))
         .unwrap();
-        assert!(o.approx);
-        assert_eq!(o.prob, 0.3);
-        assert_eq!(o.ci, 0.99);
-        assert_eq!(o.window_factor, 5);
-        assert_eq!(o.seed, 7);
+        assert!(matches!(query(&o).kind, Kind::Approx { .. }));
+        let (prob, ci, window_factor, seed) = approx(&o);
+        assert_eq!(prob, 0.3);
+        assert_eq!(ci, 0.99);
+        assert_eq!(window_factor, 5);
+        assert_eq!(seed, 7);
     }
 
     #[test]
@@ -1388,9 +1214,11 @@ mod tests {
             "5",
         ]))
         .unwrap();
-        assert!(o.nodes);
-        assert_eq!(o.top_k, Some(5));
-        assert_eq!(o.rank_motif.as_deref(), Some("M65"));
+        let Kind::TopNodes { motif, k } = query(&o).kind else {
+            panic!("not a --nodes query: {o:?}");
+        };
+        assert_eq!(Some(k), Some(5));
+        assert_eq!(motif.map(|m| m.to_string()).as_deref(), Some("M65"));
     }
 
     #[test]

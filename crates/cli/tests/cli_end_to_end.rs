@@ -1035,10 +1035,16 @@ fn memory_budget_flag_combinations_are_rejected() {
             ],
             "--window",
         ),
+        // A negative window δ is a usage error, not a panic.
+        (
+            &["--input", data, "--delta", "-5", "--window", "10"],
+            "--delta",
+        ),
     ];
     for (args, fragment) in cases {
         let out = hare_count(args);
         assert!(!out.status.success(), "{args:?} should be rejected");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly");
         let err = String::from_utf8(out.stderr.clone()).unwrap();
         assert!(err.contains(fragment), "{args:?}: {err}");
     }

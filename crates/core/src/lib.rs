@@ -45,6 +45,9 @@
 //!   [`ooc::EdgeSource`] (in-RAM slice or `HARELG01` lane file) are
 //!   streamed through the fused kernel under a resident lane-byte
 //!   budget, bit-identical to the in-RAM drivers.
+//! * [`query`] — the one query type of `hare-count` and `hare-serve`:
+//!   `(key, value)` pairs from flags or URL parameters, checked against
+//!   one key table, with the cache key and execution in one place.
 //! * [`report`] — the canonical JSON wire schema, built in one place so
 //!   `hare-count --json` and the `hare-serve` HTTP service emit
 //!   byte-identical bodies for the same query.
@@ -85,6 +88,7 @@ pub mod fused;
 pub mod hare;
 pub mod motif;
 pub mod ooc;
+pub mod query;
 pub mod report;
 pub mod sample;
 pub mod scratch;

@@ -34,8 +34,10 @@ const DETERMINISM_SCOPE: [&str; 7] = [
 ];
 
 /// `hare-serve` request-path modules bound by the panic-safety (P)
-/// rules: a panic here kills a pool worker mid-request.
-const PANIC_SCOPE: [&str; 6] = [
+/// rules: a panic here kills a pool worker mid-request. `query.rs`
+/// validates every request's parameters.
+const PANIC_SCOPE: [&str; 7] = [
+    "crates/core/src/query.rs",
     "crates/serve/src/api.rs",
     "crates/serve/src/http.rs",
     "crates/serve/src/sessions.rs",
@@ -127,6 +129,7 @@ mod tests {
         assert!(scopes_for("crates/obs/src/timing.rs").determinism);
         assert!(scopes_for("crates/serve/src/api.rs").panic_safety);
         assert!(scopes_for("crates/serve/src/nodes.rs").panic_safety);
+        assert!(scopes_for("crates/core/src/query.rs").panic_safety);
         assert!(!scopes_for("crates/serve/src/main.rs").panic_safety);
     }
 

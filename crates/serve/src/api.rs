@@ -10,14 +10,13 @@
 use std::io::BufReader;
 use std::sync::{Arc, PoisonError};
 
-use hare::sample::{SampleConfig, SampledCounter};
-use hare::{Hare, HareConfig};
+use hare::query::{Mode, Query};
 use serde_json::Value;
 use temporal_graph::io::{graph_from_raw, read_edges, LoadOptions};
 use temporal_graph::{NodeId, Timestamp};
 
 use crate::cache::CacheKey;
-use crate::catalog::CatalogError;
+use crate::catalog::{CatalogError, DatasetEntry};
 use crate::http::Request;
 use crate::AppState;
 
@@ -273,233 +272,67 @@ fn register_dataset(state: &AppState, req: &Request) -> ApiResponse {
     }
 }
 
-/// Parse a required/optional typed query parameter; `Err` is a ready
-/// 400 response.
-pub(crate) fn param<T: std::str::FromStr>(
+/// How the daemon spells a [`Mode`] in error messages; the streaming
+/// modes are `hare-count` flags with no URL form.
+fn mode_name(mode: Mode) -> Option<&'static str> {
+    match mode {
+        Mode::Exact => Some("engine=exact"),
+        Mode::Approx => Some("engine=approx"),
+        Mode::NodeProfile => Some("/nodes/{id}/motifs"),
+        Mode::TopNodes => Some("/nodes/top"),
+        Mode::Window | Mode::Budget => None,
+    }
+}
+
+/// The catalog entry and the [`Query`] a request names. Only the
+/// transport keys `dataset` and `trace` are taken out; every other
+/// parameter goes to [`Query::parse`], so a misspelt one is a 400 rather
+/// than a silently defaulted (and cached) answer. `Err` is a ready error
+/// response.
+pub(crate) fn parse_query(
+    state: &AppState,
     req: &Request,
-    name: &str,
-    default: Option<T>,
-) -> Result<T, Box<ApiResponse>> {
-    match req.query_param(name) {
-        Some(raw) => raw.parse().map_err(|_| {
-            Box::new(error_response(
-                400,
-                &format!("parameter '{name}' has invalid value {raw:?}"),
-            ))
-        }),
-        None => default.ok_or_else(|| {
-            Box::new(error_response(
-                400,
-                &format!("missing required parameter '{name}'"),
-            ))
-        }),
-    }
-}
-
-/// The validated execution plan of one `/count` query: every
-/// result-relevant parameter is parsed exactly once, and both the
-/// cache key and the computation derive from the same values (so they
-/// can never drift apart).
-enum Plan {
-    Exact {
-        only: Option<hare::MotifCategory>,
-        only_str: String,
-    },
-    Approx {
-        prob: f64,
-        ci: f64,
-        window_factor: i64,
-        seed: u64,
-    },
-}
-
-impl Plan {
-    /// Parse and validate the engine parameters of a request.
-    fn from_request(req: &Request) -> Result<Plan, Box<ApiResponse>> {
-        match req.query_param("engine").unwrap_or("exact") {
-            "exact" => {
-                for p in ["prob", "ci", "window_factor", "seed"] {
-                    if req.query_param(p).is_some() {
-                        return Err(Box::new(error_response(
-                            400,
-                            &format!("'{p}' requires engine=approx"),
-                        )));
-                    }
-                }
-                let only_str = req.query_param("only").unwrap_or("all").to_string();
-                let only = hare::report::parse_only(&only_str)
-                    .map_err(|e| Box::new(error_response(400, &format!("parameter 'only' {e}"))))?;
-                Ok(Plan::Exact { only, only_str })
-            }
-            "approx" => {
-                if req.query_param("only").is_some_and(|o| o != "all") {
-                    return Err(Box::new(error_response(
-                        400,
-                        "'only' is not supported with engine=approx",
-                    )));
-                }
-                let prob: f64 = param(req, "prob", Some(0.1))?;
-                if !(prob > 0.0 && prob <= 1.0) {
-                    return Err(Box::new(error_response(
-                        400,
-                        &format!("'prob' must be in (0, 1], got {prob}"),
-                    )));
-                }
-                let ci: f64 = param(req, "ci", Some(0.95))?;
-                if !(ci > 0.0 && ci < 1.0) {
-                    return Err(Box::new(error_response(
-                        400,
-                        &format!("'ci' must be in (0, 1), got {ci}"),
-                    )));
-                }
-                let window_factor: i64 = param(req, "window_factor", Some(10))?;
-                if window_factor < 1 {
-                    return Err(Box::new(error_response(
-                        400,
-                        &format!("'window_factor' must be at least 1, got {window_factor}"),
-                    )));
-                }
-                let seed: u64 = param(req, "seed", Some(42))?;
-                Ok(Plan::Approx {
-                    prob,
-                    ci,
-                    window_factor,
-                    seed,
-                })
-            }
-            other => Err(Box::new(error_response(
-                400,
-                &format!("parameter 'engine' must be exact or approx, got {other:?}"),
-            ))),
-        }
-    }
-
-    /// Canonical cache-key half: engine + result-relevant parameters.
-    /// `threads` is deliberately excluded — counts are bit-identical
-    /// across thread counts, so results are interchangeable.
-    fn cache_key(&self) -> String {
-        match self {
-            Plan::Exact { only_str, .. } => format!("exact/only={only_str}"),
-            Plan::Approx {
-                prob,
-                ci,
-                window_factor,
-                seed,
-            } => format!("approx/prob={prob}/ci={ci}/wf={window_factor}/seed={seed}"),
-        }
-    }
-
-    /// Execute the plan and build the canonical response body. Generic
-    /// over [`hare::Probe`] so `?trace=1` can observe phase timings;
-    /// the body itself is probe-invariant (kernels only let probes
-    /// watch phase boundaries), so traced and untraced runs cache the
-    /// same bytes.
-    fn execute<P: hare::Probe>(
-        &self,
-        entry: &crate::catalog::DatasetEntry,
-        delta: Timestamp,
-        threads: usize,
-        probe: &P,
-    ) -> Value {
-        match self {
-            Plan::Exact { only, .. } => {
-                let hare = Hare::new(HareConfig {
-                    num_threads: threads,
-                    ..HareConfig::default()
-                });
-                let matrix = hare.count_matrix_probed(&entry.graph, delta, *only, probe);
-                hare::report::exact_body(
-                    entry.stats.num_nodes,
-                    entry.stats.num_edges,
-                    delta,
-                    &matrix,
-                    None,
-                )
-            }
-            Plan::Approx {
-                prob,
-                ci,
-                window_factor,
-                seed,
-            } => {
-                let counter = SampledCounter::new(SampleConfig {
-                    prob: *prob,
-                    window_factor: *window_factor,
-                    confidence: *ci,
-                    seed: *seed,
-                    threads,
-                });
-                let est = counter.count_probed(&entry.graph, delta, probe);
-                hare::report::approx_body(
-                    entry.stats.num_nodes,
-                    entry.stats.num_edges,
-                    delta,
-                    *window_factor,
-                    *seed,
-                    &est,
-                    None,
-                )
-            }
-        }
-    }
-}
-
-/// Upper bound on `?threads=`: far above any real core count. The value
-/// is only a cap on the process-wide worker pool (at most
-/// `max(cores − 1, 1)` shared helpers plus the worker handling the
-/// query), so even this many spawns no threads; the bound just rejects
-/// absurd requests early.
-pub(crate) const MAX_QUERY_THREADS: usize = 1024;
-
-fn count(state: &AppState, req: &Request) -> ApiResponse {
+    mode: Mode,
+) -> Result<(Arc<DatasetEntry>, Query), ApiResponse> {
     let Some(dataset) = req.query_param("dataset") else {
-        return error_response(400, "missing required parameter 'dataset'");
+        return Err(error_response(400, "missing required parameter 'dataset'"));
     };
     let Some(entry) = state.catalog.get(dataset) else {
-        return error_response(
+        return Err(error_response(
             404,
             &format!(
                 "dataset {dataset:?} is not in the catalog; registered: [{}]",
                 state.catalog.names().join(", ")
             ),
-        );
+        ));
     };
-    let delta: Timestamp = match param(req, "delta", None) {
-        Ok(v) => v,
-        Err(resp) => return *resp,
-    };
-    let threads: usize = match param(req, "threads", Some(state.cfg.query_threads)) {
-        Ok(v) => v,
-        Err(resp) => return *resp,
-    };
-    if threads > MAX_QUERY_THREADS {
-        return error_response(
+    // The daemon's --threads default goes first, so a request's own
+    // `threads` (parsed later, last value wins) overrides it.
+    let threads = state.cfg.query_threads.to_string();
+    let pairs: Vec<(&str, &str)> = std::iter::once(("threads", threads.as_str()))
+        .chain(req.query.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        .filter(|(k, _)| !matches!(*k, "dataset" | "trace"))
+        .collect();
+    match Query::parse(mode, &pairs, mode_name) {
+        Ok(q) => Ok((entry, q)),
+        Err(e) => Err(error_response(
             400,
-            &format!("parameter 'threads' must be at most {MAX_QUERY_THREADS}, got {threads}"),
-        );
+            &format!("parameter '{}' {}", e.key, e.message),
+        )),
     }
-    let plan = match Plan::from_request(req) {
-        Ok(plan) => plan,
-        Err(resp) => return *resp,
-    };
+}
 
-    let key = CacheKey {
+fn cache_key(entry: &DatasetEntry, q: &Query) -> CacheKey {
+    CacheKey {
         fingerprint: entry.fingerprint,
-        delta,
-        engine: plan.cache_key(),
-    };
-
-    // `?trace=1` always computes (a cached body has no phases to time)
-    // but still *fills* the cache: the rendered body is probe-invariant,
-    // so the inserted bytes match what an untraced query would cache.
-    if matches!(req.query_param("trace"), Some("1" | "true")) {
-        let probe = hare::WallClockProbe::new();
-        let body = plan.execute(&entry, delta, threads, &probe);
-        let rendered = Arc::new(hare::report::render(&body));
-        state.cache.insert(key, Arc::clone(&rendered));
-        return traced_response(state, &probe, &rendered);
+        delta: q.delta,
+        engine: q.cache_key(),
     }
+}
 
+/// Serve `q` from the result cache, computing and inserting on a miss.
+pub(crate) fn cached(state: &AppState, entry: &DatasetEntry, q: &Query) -> ApiResponse {
+    let key = cache_key(entry, q);
     if let Some(body) = state.cache.get(&key) {
         return ApiResponse {
             body,
@@ -507,17 +340,34 @@ fn count(state: &AppState, req: &Request) -> ApiResponse {
             ..ApiResponse::default()
         };
     }
-
     // Miss: run the query on this worker (kernels parallelise
     // internally over the rayon pool with `threads` workers).
-    let body = plan.execute(&entry, delta, threads, &hare::NoopProbe);
-    let rendered = Arc::new(hare::report::render(&body));
+    let rendered = Arc::new(q.run(&entry.graph, &entry.stats, &hare::NoopProbe));
     state.cache.insert(key, Arc::clone(&rendered));
     ApiResponse {
         body: rendered,
         cache: Some(false),
         ..ApiResponse::default()
     }
+}
+
+fn count(state: &AppState, req: &Request) -> ApiResponse {
+    let (entry, q) = match parse_query(state, req, Mode::Exact) {
+        Ok(found) => found,
+        Err(resp) => return resp,
+    };
+    // `?trace=1` always computes (a cached body has no phases to time)
+    // but still *fills* the cache: the rendered body is probe-invariant,
+    // so the inserted bytes match what an untraced query would cache.
+    if matches!(req.query_param("trace"), Some("1" | "true")) {
+        let probe = hare::WallClockProbe::new();
+        let rendered = Arc::new(q.run(&entry.graph, &entry.stats, &probe));
+        state
+            .cache
+            .insert(cache_key(&entry, &q), Arc::clone(&rendered));
+        return traced_response(state, &probe, &rendered);
+    }
+    cached(state, &entry, &q)
 }
 
 /// Wrap a rendered `/count` body in `{"result":…,"trace":…}` with the
@@ -578,23 +428,16 @@ fn create_session(state: &AppState, req: &Request) -> ApiResponse {
         (_, Some(s)) => s,
         (_, None) => return error_response(400, "'slack' must be an integer"),
     };
-    if delta < 0 {
-        return error_response(400, "'delta' must be non-negative");
-    }
-    if window < delta {
-        return error_response(
-            400,
-            &format!("'window' must be >= 'delta' ({window} < {delta})"),
-        );
-    }
-    if slack < 0 {
-        return error_response(400, "'slack' must be non-negative");
-    }
     let memory_budget = match (&v["memory_budget"], v["memory_budget"].as_u64()) {
         (Value::Null, _) => None,
-        (_, Some(b)) if b >= 1 => Some(b),
-        (_, _) => return error_response(400, "'memory_budget' must be a positive integer (bytes)"),
+        (_, Some(b)) => Some(b),
+        (_, None) => {
+            return error_response(400, "'memory_budget' must be a positive integer (bytes)")
+        }
     };
+    if let Err(e) = hare::query::check_stream(delta, window, slack, memory_budget) {
+        return error_response(400, &format!("'{}' {}", e.key, e.message));
+    }
     // Bound client-driven memory twice over: every open session holds a
     // live engine, so creation beyond the count cap is backpressured,
     // and budgeted sessions additionally reserve their bytes from the

@@ -96,7 +96,14 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             "--threads" => {
                 cfg.query_threads = value("--threads")?
                     .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
+                    .map_err(|e| format!("--threads: {e}"))?;
+                // Every query carries this default through the same bound.
+                if cfg.query_threads > hare::query::MAX_QUERY_THREADS {
+                    return Err(format!(
+                        "--threads must be at most {}",
+                        hare::query::MAX_QUERY_THREADS
+                    ));
+                }
             }
             "--max-body" => {
                 cfg.max_body_bytes = value("--max-body")?

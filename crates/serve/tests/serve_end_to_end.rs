@@ -599,6 +599,18 @@ fn malformed_requests_return_structured_errors() {
             400,
             "engine",
         ),
+        ("/count?dataset=CollegeMsg&delta=-5", 400, "delta"),
+        ("/nodes/top?dataset=CollegeMsg&delta=-5", 400, "delta"),
+        (
+            "/count?dataset=CollegeMsg&delta=600&engine=approx&prb=0.5",
+            400,
+            "prb",
+        ),
+        (
+            "/nodes/top?dataset=CollegeMsg&delta=600&top_k=3",
+            400,
+            "top_k",
+        ),
         ("/sessions/99", 404, "no such session"),
         ("/sessions/zzz", 400, "integer"),
         ("/definitely/not/here", 404, "no such endpoint"),

@@ -261,6 +261,18 @@ impl LaneFile {
         }) {
             return Err(corrupt("index not monotone"));
         }
+        // The writer's layout: block 0 starts right after the header, the
+        // last block ends before the index, and block b holds edges from
+        // b · BLOCK_EDGES on. Without these, `decode_block`'s byte and
+        // edge spans could underflow on a crafted index.
+        if index.first().is_some_and(|b| b.offset != 24)
+            || index.last().is_some_and(|b| b.offset >= index_offset)
+            || (0u64..)
+                .zip(&index)
+                .any(|(b, m)| m.first_edge != b * BLOCK_EDGES as u64)
+        {
+            return Err(corrupt("index block out of bounds"));
+        }
         let mut lf = LaneFile {
             file,
             num_nodes: usize::try_from(num_nodes).map_err(|_| corrupt("num_nodes overflow"))?,
@@ -464,6 +476,20 @@ mod tests {
         assert!(LaneFile::open(&path).is_err());
         std::fs::write(&path, b"short").unwrap();
         assert!(LaneFile::open(&path).is_err());
+        // Index entries that are monotone but point outside the file's
+        // layout: last block past the index, block 0 not after the
+        // header, a block's first edge off the writer's grid.
+        write_lane_file(&path, 13, &sample_edges(9_000)).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let index_offset = u64::from_le_bytes(good[good.len() - 24..][..8].try_into().unwrap());
+        let last = good.len() - 48;
+        let first = index_offset as usize;
+        for (at, value) in [(last, index_offset + 1), (first, 25), (last + 16, 9_000)] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            assert!(LaneFile::open(&path).is_err(), "entry at {at} = {value}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
